@@ -2,19 +2,18 @@
 //! engine work (raw what-if calls) each caching layer issues for the
 //! same solve, and how fast warm solves run on top of each.
 //!
-//! Three paths over the Table-1 instance (W1, paper design space):
+//! Two paths over the Table-1 instance (W1, paper design space):
 //!
 //! * `memo` — the seed behavior: one cache entry per distinct
 //!   `(stage, config)`, restored via [`Unprojected`];
 //! * `projected` — [`ProjectedOracle`] with per-stage relevance masks
-//!   and part-level decomposition;
-//! * `dense` — [`DenseOracle`]: per-part cost tables materialized up
-//!   front in parallel, lock-free reads afterwards.
+//!   and part-level decomposition, the layer every solver reads
+//!   through.
 //!
-//! The solver outputs must be bit-identical across all three; the
-//! projected and dense paths must issue strictly fewer raw what-if
-//! calls than the seed memo path. Both facts are asserted here and the
-//! counters land in `BENCH_oracle.json` as metric records.
+//! The solver outputs must be bit-identical across both; the projected
+//! path must issue strictly fewer raw what-if calls than the seed memo
+//! path. Both facts are asserted here and the counters land in
+//! `BENCH_oracle.json` as metric records.
 
 use cdpd::core::{
     decompose, enumerate_configs, kaware, Config, CostOracle, OracleStats, Problem,
@@ -55,8 +54,6 @@ fn bench_oracle(criterion: &mut Criterion) {
     let memo = ProjectedOracle::with_stats(Unprojected(seed_engine), memo_stats);
 
     let projected = mk_engine(&db, &workload).into_shared();
-    let dense = mk_engine(&db, &workload).into_dense();
-    assert!(dense.is_fully_dense(), "paper part masks fit the dense cap");
 
     let problem = Problem::paper_experiment();
     let candidates = enumerate_configs(&memo, None, Some(2)).expect("small m");
@@ -64,30 +61,19 @@ fn bench_oracle(criterion: &mut Criterion) {
     // Cold solves: count the raw what-if calls each path issues.
     let s_memo = kaware::solve(&memo, &problem, &candidates, 2).expect("feasible");
     let s_proj = kaware::solve(&projected, &problem, &candidates, 2).expect("feasible");
-    let s_dense = kaware::solve(&dense, &problem, &candidates, 2).expect("feasible");
     assert_eq!(s_memo, s_proj, "projected path must be bit-identical");
-    assert_eq!(s_memo, s_dense, "dense path must be bit-identical");
 
     let memo_calls = memo.stats_snapshot().whatif_calls;
     let proj_calls = projected.stats_snapshot().whatif_calls;
-    let dense_snap = dense.stats_snapshot();
     assert!(
         proj_calls < memo_calls,
         "projection must issue fewer raw calls: projected {proj_calls} vs memo {memo_calls}"
-    );
-    assert!(
-        dense_snap.whatif_calls < memo_calls,
-        "dense must issue fewer raw calls: dense {} vs memo {memo_calls}",
-        dense_snap.whatif_calls
     );
 
     let mut group = criterion.benchmark_group("oracle");
     group.sample_size(10);
     group.metric("whatif_calls/memo", memo_calls as f64);
     group.metric("whatif_calls/projected", proj_calls as f64);
-    group.metric("whatif_calls/dense", dense_snap.whatif_calls as f64);
-    group.metric("dense/build_ms", dense_snap.dense_build_nanos as f64 / 1e6);
-    group.metric("dense/bytes_resident", dense_snap.bytes_resident as f64);
 
     // Warm solves: pure lookup + solver work on each layer.
     group.bench_function("solve_warm/memo", |b| {
@@ -95,9 +81,6 @@ fn bench_oracle(criterion: &mut Criterion) {
     });
     group.bench_function("solve_warm/projected", |b| {
         b.iter(|| kaware::solve(&projected, &problem, &candidates, 2).expect("feasible"))
-    });
-    group.bench_function("solve_warm/dense", |b| {
-        b.iter(|| kaware::solve(&dense, &problem, &candidates, 2).expect("feasible"))
     });
 
     // Vocabulary-width scaling: wide-but-sparse solves through the

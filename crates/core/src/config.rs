@@ -294,83 +294,6 @@ impl Config {
             .iter()
             .fold(0u64, |acc, w| acc.rotate_left(7) ^ w)
     }
-
-    /// Software PEXT: gather the bits of `self` selected by `mask` into
-    /// a compact code — the i-th set structure of `mask` becomes bit i.
-    /// This is the dense-table indexing primitive, so the mask must
-    /// name at most 64 structures (a table wider than that could not be
-    /// materialized anyway). Inverse of [`Config::pdep_code`]. Bits of
-    /// `self` outside `mask` are ignored.
-    pub fn pext_code(&self, mask: &Config) -> u64 {
-        match (&self.0, &mask.0) {
-            (Repr::Inline(bits), Repr::Inline(m)) => compress_word(*bits, *m),
-            _ => {
-                assert!(mask.len() <= 64, "PEXT mask wider than a 64-bit code");
-                let mut out = 0u64;
-                for (j, pos) in mask.structures().enumerate() {
-                    if self.contains(pos) {
-                        out |= 1u64 << j;
-                    }
-                }
-                out
-            }
-        }
-    }
-
-    /// Software PDEP: scatter the low bits of `code` to the set
-    /// structures of `mask` — bit i of `code` lands on the i-th set
-    /// structure. Inverse of [`Config::pext_code`] for codes within
-    /// `mask`'s width.
-    pub fn pdep_code(code: u64, mask: &Config) -> Config {
-        match &mask.0 {
-            Repr::Inline(m) => Config(Repr::Inline(expand_word(code, *m))),
-            Repr::Spilled(_) => {
-                assert!(mask.len() <= 64, "PDEP mask wider than a 64-bit code");
-                let mut words = vec![0u64; mask.words().len()];
-                for (j, pos) in mask.structures().enumerate() {
-                    if (code >> j) & 1 == 1 {
-                        words[pos / 64] |= 1u64 << (pos % 64);
-                    }
-                }
-                Config::from_word_vec(words)
-            }
-        }
-    }
-}
-
-/// Word-level PEXT with a fast path for contiguous low masks.
-fn compress_word(bits: u64, mask: u64) -> u64 {
-    let bits = bits & mask;
-    if mask & mask.wrapping_add(1) == 0 {
-        return bits; // mask is 0..w contiguous from bit 0
-    }
-    let mut out = 0u64;
-    let mut m = mask;
-    let mut j = 0;
-    while m != 0 {
-        let i = m.trailing_zeros();
-        out |= ((bits >> i) & 1) << j;
-        j += 1;
-        m &= m - 1;
-    }
-    out
-}
-
-/// Word-level PDEP with a fast path for contiguous low masks.
-fn expand_word(code: u64, mask: u64) -> u64 {
-    if mask & mask.wrapping_add(1) == 0 {
-        return code & mask;
-    }
-    let mut out = 0u64;
-    let mut m = mask;
-    let mut j = 0;
-    while m != 0 {
-        let i = m.trailing_zeros();
-        out |= ((code >> j) & 1) << i;
-        j += 1;
-        m &= m - 1;
-    }
-    out
 }
 
 impl PartialOrd for Config {
@@ -562,30 +485,6 @@ mod tests {
         assert_eq!(mask.rank(6), 2);
         assert_eq!(mask.rank(70), 2);
         assert_eq!(mask.rank(200), 3);
-    }
-
-    #[test]
-    fn pext_pdep_roundtrip() {
-        for mask in [
-            Config::from_bits(0b1),
-            Config::from_bits(0b1010),
-            Config::from_bits(0b1101_0110),
-            Config::EMPTY.with(1).with(64).with(129),
-        ] {
-            for code in 0..(1u64 << mask.len()) {
-                let cfg = Config::pdep_code(code, &mask);
-                assert!(cfg.is_subset_of(&mask));
-                assert_eq!(cfg.pext_code(&mask), code, "mask={mask} code={code}");
-            }
-        }
-        // Bits outside the mask are ignored.
-        let mask = Config::from_bits(0b0101);
-        assert_eq!(
-            Config::from_bits(0b1111).pext_code(&mask),
-            Config::from_bits(0b0101).pext_code(&mask)
-        );
-        let wide_mask = Config::EMPTY.with(0).with(100);
-        assert_eq!(Config::EMPTY.with(50).with(100).pext_code(&wide_mask), 0b10);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! cannot change any schedule's exec cost, and no optimal schedule
 //! builds them (they cost transition I/Os and space for nothing). A
 //! [`Decomposition`] renames the active set to a dense `0..a` local
-//! index space; solvers, dense tables, and memo keys then scale with
+//! index space; solvers and memo keys then scale with
 //! `a` (relevant structures), not `m` (vocabulary width). On an
 //! instance whose active set fits one word the localized solve is
 //! bit-identical to solving the narrow instance directly — localization
@@ -186,10 +186,10 @@ impl Decomposition {
 /// An oracle adapter presenting the wrapped oracle's active structures
 /// as a dense `0..n_local` vocabulary. Every probe renames its
 /// configurations through the [`Decomposition`]; relevance masks are
-/// renamed too, so the caching layers ([`crate::oracle::ProjectedOracle`],
-/// [`crate::oracle::DenseOracle`]) stack on top and tabulate in the
-/// *same* local coordinates — the dense width check sees the part's
-/// relevant width whichever side of the rename it runs on.
+/// renamed too, so a [`crate::oracle::ProjectedOracle`] stacks on top
+/// and memoizes in the *same* local coordinates — its keys carry only
+/// a part's relevant structures whichever side of the rename it runs
+/// on.
 pub struct LocalOracle<'a, O: ?Sized> {
     inner: &'a O,
     decomp: &'a Decomposition,

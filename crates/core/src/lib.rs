@@ -25,11 +25,11 @@
 //! The crate is engine-agnostic: solvers consume a [`CostOracle`]
 //! (`EXEC`/`TRANS`/`SIZE` for bitmask [`Config`]s over a candidate
 //! structure list). Every solver probe funnels through the [`oracle`]
-//! layer — relevance projection, sharded memoization or up-front dense
-//! materialization, and instrumentation. The `cdpd` facade crate
-//! adapts the storage engine's what-if optimizer to these traits;
-//! [`SyntheticOracle`] provides table-driven costs for tests and
-//! benchmarks (built on the same dense layer).
+//! layer — relevance projection, lazy sharded memoization, and
+//! instrumentation. The `cdpd` facade crate adapts the storage engine's
+//! what-if optimizer to these traits; [`SyntheticOracle`] provides
+//! closure-driven costs for tests and benchmarks (built on the same
+//! memo layer).
 
 #![warn(missing_docs)]
 
@@ -51,8 +51,8 @@ mod warm;
 pub use config::{enumerate_configs, Config, MAX_STRUCTURE_INDEX};
 pub use decompose::{Decomposition, LocalOracle};
 pub use oracle::{
-    DenseOracle, OracleStats, OracleStatsSnapshot, ProjectableOracle, ProjectedOracle,
-    RelevanceMask, SharedOracle, Unprojected,
+    OracleStats, OracleStatsSnapshot, ProjectableOracle, ProjectedOracle, RelevanceMask,
+    SharedOracle, Unprojected,
 };
 pub use problem::{CostOracle, Problem, SyntheticOracle};
 pub use schedule::Schedule;

@@ -61,6 +61,9 @@ pub fn parallel_map<T: Send>(
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(|| {
+                    // A root span per worker, so the I/O `f` does here is
+                    // attributed in the trace (no-op while tracing is off).
+                    let _span = cdpd_obs::span!("par.worker");
                     let mut out = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);

@@ -109,9 +109,10 @@ fn note(
     let decision = match decision {
         Ok(Some(d)) => d,
         Ok(None) => return,
-        Err(_) => {
+        Err(e) => {
             *errors += 1;
             cdpd_obs::counter!("server.advisor.errors").inc();
+            cdpd_obs::event!("server advisor: ingest/seal failed: {e}");
             return;
         }
     };
@@ -129,9 +130,10 @@ fn note(
             }
             applied.push(report);
         }
-        Err(_) => {
+        Err(e) => {
             *errors += 1;
             cdpd_obs::counter!("server.advisor.errors").inc();
+            cdpd_obs::event!("server advisor: applying the {table} design failed: {e}");
         }
     }
 }

@@ -1,5 +1,5 @@
 use cdpd_core::{
-    Config, CostOracle, DenseOracle, OracleStats, ProjectableOracle, ProjectedOracle, RelevanceMask,
+    Config, CostOracle, OracleStats, ProjectableOracle, ProjectedOracle, RelevanceMask,
 };
 use cdpd_engine::{IndexSpec, WhatIfEngine};
 use cdpd_sql::Dml;
@@ -38,9 +38,8 @@ fn mask_of(relevant: &[bool]) -> Config {
 /// at construction it asks the planner which structures can affect
 /// each statement and groups every stage's statements into equal-mask
 /// parts, implementing [`ProjectableOracle`]. Hand it to a solver
-/// through [`EngineOracle::into_shared`] (sharded projected memo) or
-/// [`EngineOracle::into_dense`] (up-front dense tables) — both count
-/// raw what-if calls into a shared [`OracleStats`] bundle.
+/// through [`EngineOracle::into_shared`] (the lazy projected memo),
+/// which counts raw what-if calls into a shared [`OracleStats`] bundle.
 pub struct EngineOracle {
     whatif: WhatIfEngine,
     structures: Vec<IndexSpec>,
@@ -233,7 +232,7 @@ impl EngineOracle {
     }
 
     /// Record counters into an existing bundle instead (callers that
-    /// aggregate several oracles, or the `into_*` constructors below).
+    /// aggregate several oracles, or [`EngineOracle::into_shared`] below).
     pub fn attach_stats(&mut self, stats: Arc<OracleStats>) {
         self.stats = stats;
     }
@@ -245,20 +244,6 @@ impl EngineOracle {
         let stats = OracleStats::shared();
         self.stats = stats.clone();
         ProjectedOracle::with_stats(self, stats)
-    }
-
-    /// Materialize dense per-part cost tables up front (parallel
-    /// build; see [`DenseOracle`]), sharing one stats bundle like
-    /// [`EngineOracle::into_shared`].
-    pub fn into_dense(self) -> DenseOracle<EngineOracle> {
-        self.into_dense_capped(cdpd_core::oracle::DENSE_MAX_BITS)
-    }
-
-    /// [`EngineOracle::into_dense`] with an explicit table-width cap.
-    pub fn into_dense_capped(mut self, max_bits: usize) -> DenseOracle<EngineOracle> {
-        let stats = OracleStats::shared();
-        self.stats = stats.clone();
-        DenseOracle::with_stats(self, stats, max_bits)
     }
 }
 
@@ -274,8 +259,8 @@ impl CostOracle for EngineOracle {
     fn exec(&self, stage: usize, config: &Config) -> Cost {
         // Deliberately unprojected: the raw path sums every part under
         // the full configuration, which keeps this method a reference
-        // implementation the projected/dense layers are differentially
-        // tested against. (Saturating sums are grouping-independent,
+        // implementation the projected layer is differentially tested
+        // against. (Saturating sums are grouping-independent,
         // so summing part-by-part equals the seed's statement order.)
         (0..self.parts[stage].len())
             .map(|p| self.exec_part(stage, p, config))
@@ -459,7 +444,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_and_dense_count_fewer_whatif_calls_than_raw() {
+    fn shared_counts_fewer_whatif_calls_than_raw() {
         let probe = |o: &dyn CostOracle| {
             for stage in 0..o.n_stages() {
                 for bits in 0..(1u64 << 6) {
@@ -475,18 +460,12 @@ mod tests {
         probe(&shared);
         let shared_calls = shared.stats_snapshot().whatif_calls;
 
-        let dense = oracle(5_000).into_dense();
-        probe(&dense);
-        let dense_calls = dense.stats_snapshot().whatif_calls;
-
         assert!(shared_calls < raw_calls, "{shared_calls} !< {raw_calls}");
-        assert!(dense_calls < raw_calls, "{dense_calls} !< {raw_calls}");
-        // And the layers agree with the raw reference.
+        // And the layer agrees with the raw reference.
         for stage in [0, 15, 29] {
             for bits in [0u64, 0b101, 0b111111] {
                 let cfg = Config::from_bits(bits);
                 assert_eq!(shared.exec(stage, &cfg), raw.exec(stage, &cfg));
-                assert_eq!(dense.exec(stage, &cfg), raw.exec(stage, &cfg));
             }
         }
     }
