@@ -226,6 +226,30 @@ cargo test -q --offline -p cdpd --test w4_workload
 echo "== plan equivalence: every access path matches the seq-scan baseline =="
 cargo test -q --offline -p cdpd --test predicate_equiv
 
+echo "== end-to-end correctness smoke: every perfbench workload =="
+# Short runs of the end-to-end benchmark, checked for correctness only:
+# each workload verifies its own outputs (wire counts against in-process
+# counts; rw_durable also drops, reopens and digest-compares the table,
+# replaying the WAL's delta catalog records at 20k rows). The last
+# stdout line is the run's JSON report.
+cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+for workload in seek_wire advise_replay rw_durable; do
+  echo "-- $workload --"
+  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 3 --trace 0 | tail -n 1 > target/perfbench-smoke.json
+  python3 - "$workload" target/perfbench-smoke.json <<'EOF'
+import json, sys
+
+workload, path = sys.argv[1], sys.argv[2]
+with open(path) as f:
+    report = json.loads(f.read())
+if report.get("correct") is not True or report.get("failed") != 0:
+    print(f"{workload}: correct={report.get('correct')} failed={report.get('failed')}")
+    sys.exit(1)
+print(f"ok: {workload} correct, {report['attempted']} statements, 0 failed")
+EOF
+done
+
 echo "== bench diff: fresh vs committed metrics (per-metric regression floors) =="
 python3 - <<'EOF'
 import json, subprocess, sys

@@ -126,8 +126,8 @@ fn durable_metrics() -> DurableMetrics {
         .expect("fresh durable pager");
     let pager = open.pager;
     let ids: Vec<_> = (0..PAGES).map(|_| pager.allocate()).collect();
-    pager.commit(b"init").expect("commits");
-    pager.checkpoint().expect("checkpoints");
+    pager.commit(b"init", || b"init".to_vec()).expect("commits");
+    pager.checkpoint(b"init").expect("checkpoints");
 
     // The 100k-statement log: every commit carries app meta, every
     // 10th also logs a dirty page image.
@@ -140,7 +140,8 @@ fn durable_metrics() -> DurableMetrics {
                 })
                 .expect("updates");
         }
-        pager.commit(&i.to_le_bytes()).expect("commits");
+        let meta = i.to_le_bytes();
+        pager.commit(&meta, || meta.to_vec()).expect("commits");
     }
     let append_s = start.elapsed().as_secs_f64();
     let wal_bytes = pager.wal_bytes();
@@ -156,7 +157,9 @@ fn durable_metrics() -> DurableMetrics {
     }
 
     let start = Instant::now();
-    pager.checkpoint().expect("checkpoints");
+    pager
+        .checkpoint(&(COMMITS - 1).to_le_bytes())
+        .expect("checkpoints");
     let checkpoint_s = start.elapsed().as_secs_f64();
     assert!(
         pager.wal_bytes() < wal_bytes,
@@ -173,8 +176,8 @@ fn durable_metrics() -> DurableMetrics {
         "recovery lands on the writer's seq"
     );
     assert_eq!(
-        recovered.app_meta,
-        (COMMITS - 1).to_le_bytes(),
+        recovered.app_records.last().map(Vec::as_slice),
+        Some(&(COMMITS - 1).to_le_bytes()[..]),
         "recovery yields the last committed app meta"
     );
 

@@ -7,7 +7,7 @@ use cdpd_sql::{DeleteStmt, Dml, SelectStmt, Statement, UpdateStmt};
 use cdpd_storage::{codec, BTree, IoStats, Pager, ThreadIoScope};
 use cdpd_types::{ColumnId, Error, Result, Rid, Schema, TableId, Value};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Result of one executed query: output plus measured cost.
@@ -76,11 +76,12 @@ pub struct DdlReport {
 ///   installed index is exactly what a blocking build at the install
 ///   point would have produced.
 /// * On a durable database, a **commit phase lock** orders mutation
-///   against WAL commits: statement mutation holds it shared,
-///   [`Pager::commit`] runs under it exclusively — so a commit only
-///   ever snapshots *complete* statements and the kill-at-any-point
-///   recovery property (`tests/recovery_prop.rs`) survives racing
-///   writers.
+///   against WAL commits and checkpoints: statement mutation holds it
+///   shared, [`Pager::commit`] and [`Database::checkpoint`] run under
+///   it exclusively — so a commit only ever snapshots *complete*
+///   statements, a checkpoint header's catalog image is exactly the
+///   committed catalog, and the kill-at-any-point recovery property
+///   (`tests/recovery_prop.rs`) survives racing writers.
 ///
 /// Per-statement I/O is measured with a [`ThreadIoScope`] (not a
 /// global-counter delta), so [`QueryResult::io`] stays exact under any
@@ -97,6 +98,26 @@ pub struct Database {
     /// mutation, `commit_if_durable` holds it exclusively — a durable
     /// commit never captures a half-applied statement.
     pub(crate) write_phase: RwLock<()>,
+    /// The largest [`Change`] applied since the last durable commit
+    /// (always `Change::None` in memory): decides whether the next
+    /// commit logs a delta record or a full catalog image.
+    uncommitted: AtomicU8,
+}
+
+/// What a mutation changes, which decides the catalog record its
+/// durable commit logs (see [`crate::persist`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub(crate) enum Change {
+    /// Nothing persisted yet (an online build registering its log, a
+    /// refresh checking for DML).
+    None = 0,
+    /// Rows only — heap and index pages and shapes, the statistics
+    /// maintainers: a delta record.
+    Rows = 1,
+    /// The catalog itself — tables, index sets, statistics snapshots,
+    /// the app-state blob: a full image.
+    Catalog = 2,
 }
 
 impl Default for Database {
@@ -109,19 +130,26 @@ impl Database {
     /// An empty in-memory database (no durability; mutations are lost
     /// on drop). Use [`Database::open`] for a durable one.
     pub fn new() -> Database {
+        Database::empty(Arc::new(Pager::new()))
+    }
+
+    /// A database with no tables over `pager`.
+    pub(crate) fn empty(pager: Arc<Pager>) -> Database {
         Database {
-            pager: Arc::new(Pager::new()),
+            pager,
             tables: RwLock::new(BTreeMap::new()),
             next_table_id: AtomicU32::new(0),
             app_state: RwLock::new(Vec::new()),
             write_phase: RwLock::new(()),
+            uncommitted: AtomicU8::new(Change::None as u8),
         }
     }
 
     /// Open (creating if absent) a durable database rooted at directory
     /// `dir`, recovering to the newest committed state: the write-ahead
-    /// log is replayed past the last checkpoint, the committed catalog
-    /// is decoded, and every table, index, and statistics object is
+    /// log is replayed past the last checkpoint, the checkpoint's
+    /// catalog image is decoded and every later commit's catalog record
+    /// applied, and every table, index, and statistics object is
     /// re-attached exactly as the last successful commit left it.
     pub fn open(dir: impl AsRef<std::path::Path>) -> Result<Database> {
         let vfs = cdpd_storage::DiskVfs::new(dir.as_ref())?;
@@ -135,18 +163,11 @@ impl Database {
         opts: cdpd_storage::DurableOptions,
     ) -> Result<Database> {
         let opened = Pager::open_durable(vfs, opts)?;
-        let pager = Arc::new(opened.pager);
-        if opened.app_meta.is_empty() {
-            Ok(Database {
-                pager,
-                tables: RwLock::new(BTreeMap::new()),
-                next_table_id: AtomicU32::new(0),
-                app_state: RwLock::new(Vec::new()),
-                write_phase: RwLock::new(()),
-            })
-        } else {
-            crate::persist::decode_catalog(&opened.app_meta, pager)
-        }
+        crate::persist::recover(
+            Arc::new(opened.pager),
+            &opened.app_image,
+            &opened.app_records,
+        )
     }
 
     /// Whether this database persists commits (opened via
@@ -161,24 +182,34 @@ impl Database {
         self.pager.committed_seq()
     }
 
-    /// Flush dirty pages to the data file and truncate the write-ahead
-    /// log. A no-op for in-memory databases. Every public mutation
-    /// commits on completion, so this is safe to call at any quiescent
-    /// point; recovery time after a crash is proportional to the WAL
-    /// written since the last checkpoint.
+    /// Flush dirty pages to the data file, write the catalog image into
+    /// a new checkpoint header, and truncate the write-ahead log. A
+    /// no-op for in-memory databases. Safe beside racing writers: it
+    /// holds the commit phase exclusively, first commits statements
+    /// that completed but have not committed yet, and only then headers
+    /// the image — so the image is exactly the catalog as of the
+    /// header's sequence number. Recovery time after a crash is
+    /// proportional to the WAL written since the last checkpoint.
+    ///
+    /// # Errors
+    /// [`Error::InvalidArgument`] while an online index build is
+    /// writing its tree (its pages are not committed yet).
     pub fn checkpoint(&self) -> Result<()> {
-        if self.pager.is_durable() {
-            self.pager.checkpoint()
-        } else {
-            Ok(())
+        if !self.pager.is_durable() {
+            return Ok(());
         }
+        let _phase = self.write_phase.write().expect("phase lock poisoned");
+        if self.uncommitted.load(Ordering::Relaxed) != Change::None as u8 {
+            self.commit_locked()?;
+        }
+        self.pager.checkpoint(&crate::persist::encode_catalog(self))
     }
 
     /// Replace the opaque application-state blob persisted alongside
     /// the catalog (the advisory layer's warm state), and commit.
     pub fn set_app_state(&self, state: Vec<u8>) -> Result<()> {
         {
-            let _phase = self.mutation_phase();
+            let _phase = self.mutation_phase(Change::Catalog);
             *self.app_state.write().expect("app state poisoned") = state;
         }
         self.commit_if_durable()
@@ -194,16 +225,27 @@ impl Database {
     /// statement's mutation so a durable commit (which holds the phase
     /// exclusively) never snapshots a half-applied statement. Acquired
     /// *before* any table lock — the one lock-order rule writers
-    /// follow.
-    fn mutation_phase(&self) -> RwLockReadGuard<'_, ()> {
-        self.write_phase.read().expect("phase lock poisoned")
+    /// follow. `change` is what the statement is about to change.
+    fn mutation_phase(&self, change: Change) -> RwLockReadGuard<'_, ()> {
+        let phase = self.write_phase.read().expect("phase lock poisoned");
+        self.note_change(change);
+        phase
     }
 
-    /// Commit the current state durably: serialize the catalog and
-    /// append every page mutated since the last commit to the WAL as
-    /// one transaction. In-memory databases return `Ok` untouched.
-    /// Called by every public mutator on successful completion, after
-    /// all table guards are released.
+    /// Record `change` for the next durable commit. Call with the
+    /// commit phase held shared.
+    fn note_change(&self, change: Change) {
+        if change != Change::None && self.pager.is_durable() {
+            self.uncommitted.fetch_max(change as u8, Ordering::Relaxed);
+        }
+    }
+
+    /// Commit the current state durably: append every page mutated
+    /// since the last commit to the WAL as one transaction, with a
+    /// catalog record — a delta when only rows changed, else a full
+    /// image. In-memory databases return `Ok` untouched. Called by
+    /// every public mutator on successful completion, after all table
+    /// guards are released.
     ///
     /// Holds the commit phase exclusively: no statement is mid-mutation
     /// while the dirty-page set and the catalog are captured, so what a
@@ -214,8 +256,36 @@ impl Database {
             return Ok(());
         }
         let _phase = self.write_phase.write().expect("phase lock poisoned");
-        let blob = crate::persist::encode_catalog(self);
-        self.pager.commit(&blob)?;
+        self.commit_locked()
+    }
+
+    /// [`Database::commit_if_durable`] with the commit phase already
+    /// held exclusively. A delta commit that crosses the auto-checkpoint
+    /// threshold hands the pager a full image built under the same
+    /// phase, so the header matches the commit.
+    ///
+    /// A failed commit may still have put its record in the log (the
+    /// pager fails after the commit frame when an fsync or the
+    /// auto-checkpoint fails). A delta logged next would then repeat
+    /// this one's gains, which replay refuses, so the next commit logs a
+    /// full image instead: it replaces whatever the log holds before it.
+    fn commit_locked(&self) -> Result<()> {
+        let committed = if self.uncommitted.load(Ordering::Relaxed) == Change::Catalog as u8 {
+            let image = crate::persist::encode_catalog(self);
+            self.pager.commit(&image, || image.clone())
+        } else {
+            self.pager.commit(&crate::persist::encode_delta(self), || {
+                crate::persist::encode_catalog(self)
+            })
+        };
+        if let Err(e) = committed {
+            self.uncommitted
+                .store(Change::Catalog as u8, Ordering::Relaxed);
+            return Err(e);
+        }
+        self.uncommitted
+            .store(Change::None as u8, Ordering::Relaxed);
+        crate::persist::mark_committed(self);
         Ok(())
     }
 
@@ -249,7 +319,7 @@ impl Database {
     /// Create a table.
     pub fn create_table(&self, name: &str, schema: Schema) -> Result<()> {
         {
-            let _phase = self.mutation_phase();
+            let _phase = self.mutation_phase(Change::Catalog);
             let mut tables = self.tables.write().expect("catalog lock poisoned");
             if tables.contains_key(name) {
                 return Err(Error::AlreadyExists(format!("table {name}")));
@@ -313,7 +383,7 @@ impl Database {
     }
 
     fn insert_inner(&self, table: &str, values: &[Value]) -> Result<Rid> {
-        let _phase = self.mutation_phase();
+        let _phase = self.mutation_phase(Change::Rows);
         let entry = self.table(table)?;
         let entry = &mut *Self::write_entry(&entry);
         if !entry.schema.validates(values) {
@@ -369,7 +439,7 @@ impl Database {
 
     fn analyze_inner(&self, table: &str) -> Result<Arc<TableStats>> {
         let _span = cdpd_obs::span!("engine.analyze", table = table);
-        let _phase = self.mutation_phase();
+        let _phase = self.mutation_phase(Change::Catalog);
         let entry = self.table(table)?;
         let entry = &mut *Self::write_entry(&entry);
         let mut maintainer = StatsMaintainer::new(entry.schema.len(), entry.heap.row_count());
@@ -380,6 +450,9 @@ impl Database {
             }
         }
         maintainer.take_refresh(); // the scan itself is not pending DML
+        if self.pager.is_durable() {
+            maintainer.track_deltas();
+        }
         let stats = Arc::new(maintainer.snapshot(entry.heap.page_count()));
         entry.stats = Some(stats.clone());
         entry.maintainer = Some(maintainer);
@@ -404,7 +477,7 @@ impl Database {
     }
 
     fn refresh_stats_inner(&self, table: &str) -> Result<StatsRefresh> {
-        let _phase = self.mutation_phase();
+        let _phase = self.mutation_phase(Change::None);
         let entry = self.table(table)?;
         let entry = &mut *Self::write_entry(&entry);
         let Some(maintainer) = entry.maintainer.as_mut() else {
@@ -417,6 +490,7 @@ impl Database {
         }
         let _span = cdpd_obs::span!("engine.refresh_stats", table = table);
         cdpd_obs::counter!("engine.stats.refreshes").inc();
+        self.note_change(Change::Catalog);
         let refresh = maintainer.take_refresh();
         entry.stats = Some(Arc::new(maintainer.snapshot(entry.heap.page_count())));
         entry.bump_epoch();
@@ -552,7 +626,7 @@ impl Database {
         // is free, register a build log for concurrent DML to feed, and
         // pin the current snapshot.
         let (log, snap) = {
-            let _phase = self.mutation_phase();
+            let _phase = self.mutation_phase(Change::None);
             let e = &mut *Self::write_entry(&entry);
             if e.indexes.contains_key(&name) {
                 return Err(Error::AlreadyExists(format!("index {name}")));
@@ -565,7 +639,7 @@ impl Database {
         let built = Self::build_index(&self.pager, &snap, spec);
         // Install: unregister the log first (even on build failure),
         // then catch up and publish under the write lock.
-        let _phase = self.mutation_phase();
+        let _phase = self.mutation_phase(Change::Catalog);
         let e = &mut *Self::write_entry(&entry);
         e.build_logs.retain(|l| !Arc::ptr_eq(l, &log));
         let (columns, btree, io) = built?;
@@ -611,7 +685,7 @@ impl Database {
     fn drop_index_inner(&self, spec: &IndexSpec) -> Result<DdlReport> {
         let _span = cdpd_obs::span!("ddl.drop_index", index = spec.name());
         let scope = ThreadIoScope::start();
-        let _phase = self.mutation_phase();
+        let _phase = self.mutation_phase(Change::Catalog);
         let entry = self.table(&spec.table)?;
         let entry = &mut *Self::write_entry(&entry);
         let name = spec.name();
@@ -712,7 +786,7 @@ impl Database {
         // every tree in one atomic step.
         let entry = self.table(table)?;
         let (log, snap) = {
-            let _phase = self.mutation_phase();
+            let _phase = self.mutation_phase(Change::None);
             let e = &mut *Self::write_entry(&entry);
             for spec in &missing {
                 if e.indexes.contains_key(&spec.name()) {
@@ -731,7 +805,7 @@ impl Database {
                 Self::build_index(pager, snap, missing[i])
             })
         };
-        let _phase = self.mutation_phase();
+        let _phase = self.mutation_phase(Change::Catalog);
         let entry = &mut *Self::write_entry(&entry);
         entry.build_logs.retain(|l| !Arc::ptr_eq(l, &log));
         let built = built?;
@@ -878,7 +952,7 @@ impl Database {
 
     fn run_update_inner(&self, stmt: &UpdateStmt) -> Result<QueryResult> {
         let scope = ThreadIoScope::start();
-        let _phase = self.mutation_phase();
+        let _phase = self.mutation_phase(Change::Rows);
         let dml = Dml::Update(stmt.clone());
         let entry = self.table(&stmt.table)?;
         let entry = &mut *Self::write_entry(&entry);
@@ -948,7 +1022,7 @@ impl Database {
 
     fn run_delete_inner(&self, stmt: &DeleteStmt) -> Result<QueryResult> {
         let scope = ThreadIoScope::start();
-        let _phase = self.mutation_phase();
+        let _phase = self.mutation_phase(Change::Rows);
         let dml = Dml::Delete(stmt.clone());
         let entry = self.table(&stmt.table)?;
         let entry = &mut *Self::write_entry(&entry);

@@ -1,18 +1,35 @@
 //! Catalog persistence: the byte codec behind [`Database::open`].
 //!
-//! Every durable commit carries a serialized catalog as the WAL
-//! transaction's application metadata: table schemas, heap/B+-tree
-//! *shapes* (page lists and counters — the page *contents* travel in
-//! the WAL as page images), statistics, retained analyze state, and an
-//! opaque application-state blob (the advisory layer's warm state).
-//! Recovery decodes the newest committed catalog and re-attaches every
-//! structure to the recovered pager with zero I/O.
+//! Every durable commit carries a catalog record as the WAL
+//! transaction's application metadata, in one of two forms:
+//!
+//! * a **full image** (`cdpdcat1`): table schemas, heap/B+-tree
+//!   *shapes* (page lists and counters — the page *contents* travel in
+//!   the WAL as page images), statistics, the retained analyze state,
+//!   and an opaque application-state blob (the advisory layer's warm
+//!   state). Catalog changes — create table, index DDL, analyze,
+//!   statistics refresh, app-state writes — commit one, and every
+//!   checkpoint header holds one;
+//! * a **delta record** (`cdpddlt1`), for commits whose statements
+//!   changed rows only: every table's heap and index shapes, and each
+//!   statistics maintainer's counters plus what it gained since the
+//!   previous commit (new distinct values, the sample suffix, min/max).
+//!   Its size is the page lists plus the gains: it grows with the
+//!   tables' page counts (4 bytes a page), not with their distinct sets
+//!   and samples.
+//!
+//! Recovery decodes the header's image and applies every later record
+//! in sequence order (a full image replaces the catalog, a delta
+//! patches it), then re-attaches every structure to the recovered pager
+//! with zero I/O. A header's image is the catalog as of the header's
+//! sequence number, so each record applies exactly once.
 //!
 //! The encoding is versioned (magic + version byte) and *strict*: any
-//! truncation, trailing bytes, or length mismatch decodes to
-//! [`Error::Corrupt`], never to a half-built catalog. Statistics are
-//! persisted field-exactly — including the maintainer's sampling clock
-//! and dirty flags — so a recovered database plans every statement
+//! truncation, trailing bytes, length mismatch, or a delta that does
+//! not extend the state it is applied to decodes to [`Error::Corrupt`],
+//! never to a half-built catalog. Statistics are persisted
+//! field-exactly — including the maintainer's sampling clock and dirty
+//! flags — so a recovered database plans every statement
 //! bit-identically to the uninterrupted run.
 
 use crate::catalog::{IndexEntry, IndexSpec, TableEntry};
@@ -20,11 +37,14 @@ use crate::Database;
 use cdpd_storage::{codec, BTree, HeapFile, Pager};
 use cdpd_types::{ColumnDef, ColumnId, Error, PageId, Result, Schema, TableId, Value, ValueType};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, RwLock};
 
-/// Catalog blob magic: format name + version in one token.
+/// Full catalog image magic: format name + version in one token.
 const MAGIC: &[u8; 8] = b"cdpdcat1";
+
+/// Delta catalog record magic.
+const DELTA_MAGIC: &[u8; 8] = b"cdpddlt1";
 
 // ---------------------------------------------------------------------
 // Primitive writers
@@ -181,7 +201,8 @@ impl<'a> Reader<'a> {
 // ---------------------------------------------------------------------
 
 /// Serialize the whole catalog (plus the application-state blob) into
-/// the byte string a durable commit carries as `app_meta`.
+/// a full image: the record of a catalog-changing commit, and what
+/// every checkpoint header holds.
 pub(crate) fn encode_catalog(db: &Database) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
@@ -205,12 +226,7 @@ fn encode_table(out: &mut Vec<u8>, e: &TableEntry) {
         put_str(out, &col.name);
         put_u8(out, type_tag(col.ty));
     }
-    // Heap shape.
-    put_u32(out, e.heap.pages().len() as u32);
-    for p in e.heap.pages() {
-        put_u32(out, p.0);
-    }
-    put_u64(out, e.heap.row_count());
+    put_heap_shape(out, &e.heap);
     // Retained analyze state and the materialized snapshot. Both are
     // persisted: the snapshot may lag the maintainer (DML folded in but
     // not yet refreshed), and recovery must reproduce exactly that.
@@ -240,14 +256,163 @@ fn encode_table(out: &mut Vec<u8>, e: &TableEntry) {
         for c in &ix.columns {
             put_u16(out, c.0);
         }
-        put_u32(out, ix.btree.root().0);
-        put_u32(out, ix.btree.height());
-        put_u32(out, ix.btree.pages().len() as u32);
-        for p in ix.btree.pages() {
-            put_u32(out, p.0);
+        put_btree_shape(out, &ix.btree);
+    }
+}
+
+fn put_pages(out: &mut Vec<u8>, pages: &[PageId]) {
+    put_u32(out, pages.len() as u32);
+    for p in pages {
+        put_u32(out, p.0);
+    }
+}
+
+fn put_heap_shape(out: &mut Vec<u8>, heap: &HeapFile) {
+    put_pages(out, heap.pages());
+    put_u64(out, heap.row_count());
+}
+
+fn put_btree_shape(out: &mut Vec<u8>, btree: &BTree) {
+    put_u32(out, btree.root().0);
+    put_u32(out, btree.height());
+    put_pages(out, btree.pages());
+    put_u64(out, btree.leaf_count());
+    put_u64(out, btree.entry_count());
+}
+
+fn read_heap_shape(r: &mut Reader<'_>, pager: &Arc<Pager>) -> Result<HeapFile> {
+    let pages = read_pages(r)?;
+    let row_count = r.u64()?;
+    Ok(HeapFile::from_parts(pager.clone(), pages, row_count))
+}
+
+fn read_btree_shape(r: &mut Reader<'_>, pager: &Arc<Pager>) -> Result<BTree> {
+    let root = PageId(r.u32()?);
+    let height = r.u32()?;
+    let pages = read_pages(r)?;
+    let leaf_count = r.u64()?;
+    let entry_count = r.u64()?;
+    Ok(BTree::from_parts(
+        pager.clone(),
+        root,
+        height,
+        pages,
+        leaf_count,
+        entry_count,
+    ))
+}
+
+/// Serialize what row DML changed since the previous commit — the
+/// delta record a commit logs when no catalog change is pending. Tables,
+/// schemas, index sets, statistics snapshots, and the app-state blob
+/// cannot have moved since the last full image (changing any of them
+/// forces a full one), so the record holds only shapes and maintainer
+/// gains. Tables and indexes are named so replay can check it patches
+/// the catalog it was written against.
+pub(crate) fn encode_delta(db: &Database) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(DELTA_MAGIC);
+    let tables = db.tables.read().expect("catalog lock poisoned");
+    put_u32(&mut out, tables.len() as u32);
+    for (name, entry) in tables.iter() {
+        let e = entry.read().expect("table lock poisoned");
+        put_str(&mut out, name);
+        put_heap_shape(&mut out, &e.heap);
+        match &e.maintainer {
+            None => put_u8(&mut out, 0),
+            Some(m) => {
+                put_u8(&mut out, 1);
+                m.encode_delta(&mut out);
+            }
         }
-        put_u64(out, ix.btree.leaf_count());
-        put_u64(out, ix.btree.entry_count());
+        put_u32(&mut out, e.indexes.len() as u32);
+        for (ix_name, ix) in &e.indexes {
+            put_str(&mut out, ix_name);
+            put_btree_shape(&mut out, &ix.btree);
+        }
+    }
+    out
+}
+
+/// Patch `db` with one [`encode_delta`] record.
+fn apply_delta(db: &Database, bytes: &[u8]) -> Result<()> {
+    let mut r = Reader::new(bytes);
+    if r.take(DELTA_MAGIC.len())? != DELTA_MAGIC {
+        return Err(Error::Corrupt("bad catalog record magic".into()));
+    }
+    let tables = db.tables.read().expect("catalog lock poisoned");
+    if r.u32()? as usize != tables.len() {
+        return Err(Error::Corrupt("catalog delta table count mismatch".into()));
+    }
+    for (name, entry) in tables.iter() {
+        let mut e = entry.write().expect("table lock poisoned");
+        if r.str()? != *name {
+            return Err(Error::Corrupt(format!("catalog delta skips table {name}")));
+        }
+        e.heap = read_heap_shape(&mut r, &db.pager)?;
+        match (r.u8()?, &mut e.maintainer) {
+            (0, None) => {}
+            (1, Some(m)) => m.apply_delta(&mut r)?,
+            _ => {
+                return Err(Error::Corrupt(format!(
+                    "catalog delta disagrees on {name}'s statistics state"
+                )))
+            }
+        }
+        if r.u32()? as usize != e.indexes.len() {
+            return Err(Error::Corrupt("catalog delta index count mismatch".into()));
+        }
+        for (ix_name, ix) in e.indexes.iter_mut() {
+            if r.str()? != *ix_name {
+                return Err(Error::Corrupt(format!(
+                    "catalog delta skips index {ix_name}"
+                )));
+            }
+            ix.btree = read_btree_shape(&mut r, &db.pager)?;
+        }
+    }
+    drop(tables);
+    r.finish()
+}
+
+/// Rebuild the committed database from a checkpoint header's image and
+/// the records of the WAL transactions past it, oldest first: a full
+/// image replaces the catalog, a delta patches it. Every maintainer's
+/// journal then starts empty — all of it is committed.
+pub(crate) fn recover(pager: Arc<Pager>, image: &[u8], records: &[Vec<u8>]) -> Result<Database> {
+    let mut db = if image.is_empty() {
+        Database::empty(pager.clone())
+    } else {
+        decode_catalog(image, pager.clone())?
+    };
+    for record in records {
+        if record.starts_with(MAGIC) {
+            db = decode_catalog(record, pager.clone())?;
+        } else {
+            apply_delta(&db, record)?;
+        }
+    }
+    for entry in db.tables.read().expect("catalog lock poisoned").values() {
+        if let Some(m) = entry
+            .write()
+            .expect("table lock poisoned")
+            .maintainer
+            .as_mut()
+        {
+            m.track_deltas();
+        }
+    }
+    Ok(db)
+}
+
+/// A durable commit captured the current catalog: empty every
+/// maintainer's journal. Runs under the exclusive commit phase, so the
+/// table read locks it takes never wait on a writer.
+pub(crate) fn mark_committed(db: &Database) {
+    for entry in db.tables.read().expect("catalog lock poisoned").values() {
+        if let Some(m) = &entry.read().expect("table lock poisoned").maintainer {
+            m.mark_committed();
+        }
     }
 }
 
@@ -271,13 +436,11 @@ pub(crate) fn decode_catalog(bytes: &[u8], pager: Arc<Pager>) -> Result<Database
         }
     }
     r.finish()?;
-    Ok(Database {
-        pager,
-        tables: RwLock::new(tables),
-        next_table_id: AtomicU32::new(next_table_id),
-        app_state: RwLock::new(app_state),
-        write_phase: RwLock::new(()),
-    })
+    let db = Database::empty(pager);
+    *db.tables.write().expect("catalog lock poisoned") = tables;
+    db.next_table_id.store(next_table_id, Ordering::Relaxed);
+    *db.app_state.write().expect("app state poisoned") = app_state;
+    Ok(db)
 }
 
 fn decode_table(r: &mut Reader<'_>, pager: &Arc<Pager>) -> Result<TableEntry> {
@@ -290,9 +453,7 @@ fn decode_table(r: &mut Reader<'_>, pager: &Arc<Pager>) -> Result<TableEntry> {
         cols.push(ColumnDef::new(name, ty));
     }
     let schema = Arc::new(Schema::new(cols));
-    let heap_pages = read_pages(r)?;
-    let row_count = r.u64()?;
-    let heap = HeapFile::from_parts(pager.clone(), heap_pages, row_count);
+    let heap = read_heap_shape(r, pager)?;
     let maintainer = match r.u8()? {
         0 => None,
         1 => Some(crate::stats::StatsMaintainer::decode(r)?),
@@ -321,12 +482,7 @@ fn decode_table(r: &mut Reader<'_>, pager: &Arc<Pager>) -> Result<TableEntry> {
         for _ in 0..n_key_cols {
             columns.push(ColumnId(r.u16()?));
         }
-        let root = PageId(r.u32()?);
-        let height = r.u32()?;
-        let pages = read_pages(r)?;
-        let leaf_count = r.u64()?;
-        let entry_count = r.u64()?;
-        let btree = BTree::from_parts(pager.clone(), root, height, pages, leaf_count, entry_count);
+        let btree = read_btree_shape(r, pager)?;
         if indexes
             .insert(
                 spec.name(),
@@ -417,6 +573,48 @@ mod tests {
         assert_eq!(r.opt_value().unwrap(), Some(Value::Str("x".into())));
         assert_eq!(r.opt_value().unwrap(), None);
         r.finish().unwrap();
+    }
+
+    /// The header holds a `cdpdcat1` full image and row DML logs
+    /// `cdpddlt1` deltas on top of it; a delta applied to a state it
+    /// does not extend (here: twice) is refused, never half-applied.
+    #[test]
+    fn deltas_patch_the_image_they_extend_and_only_once() {
+        use cdpd_storage::{DurableOptions, MemVfs};
+        use cdpd_types::ColumnDef;
+        let vfs = MemVfs::new();
+        let opts = DurableOptions {
+            checkpoint_wal_bytes: 0,
+            ..DurableOptions::default()
+        };
+        let db = Database::open_with_vfs(Arc::new(vfs.clone()), opts.clone()).unwrap();
+        db.create_table("t", Schema::new(vec![ColumnDef::int("a")]))
+            .unwrap();
+        for i in 0..20 {
+            db.insert("t", &[Value::Int(i)]).unwrap();
+        }
+        db.analyze("t").unwrap();
+        db.checkpoint().unwrap();
+        db.insert("t", &[Value::Int(100)]).unwrap();
+        drop(db);
+
+        let opened = Pager::open_durable(Arc::new(vfs), opts).unwrap();
+        assert!(opened.app_image.starts_with(MAGIC));
+        assert_eq!(opened.app_records.len(), 1);
+        assert!(opened.app_records[0].starts_with(DELTA_MAGIC));
+        let pager = Arc::new(opened.pager);
+        let once = recover(pager.clone(), &opened.app_image, &opened.app_records).unwrap();
+        once.refresh_stats("t").unwrap();
+        let stats = once.stats("t").unwrap().expect("analyzed");
+        assert_eq!(
+            stats.columns[0].distinct, 21,
+            "the delta's new distinct value is back"
+        );
+        let twice = [opened.app_records[0].clone(), opened.app_records[0].clone()];
+        assert!(matches!(
+            recover(pager, &opened.app_image, &twice),
+            Err(Error::Corrupt(_))
+        ));
     }
 
     #[test]

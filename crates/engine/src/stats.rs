@@ -14,6 +14,7 @@
 //! and swap it.
 
 use cdpd_types::{ColumnId, Value};
+use std::sync::Mutex;
 
 /// Equi-depth histogram: `bounds[i]` is the upper bound of a bucket and
 /// `cum[i]` the fraction of sampled values ≤ that bound. Duplicate
@@ -281,6 +282,12 @@ impl StatsRefresh {
 /// *gain* values (deletes leave them as stale upper bounds — the
 /// standard engineering trade-off incremental ANALYZE makes). Row and
 /// byte counts are exact.
+///
+/// On a durable database the maintainer also keeps a [`Journal`] of
+/// what it gained since the last commit, so a row-DML commit logs the
+/// new distinct values and the sample suffix
+/// ([`StatsMaintainer::encode_delta`]) instead of re-serializing the
+/// whole retained state.
 pub(crate) struct StatsMaintainer {
     rows: u64,
     bytes: u64,
@@ -293,6 +300,22 @@ pub(crate) struct StatsMaintainer {
     dirty: Vec<bool>,
     /// Row/byte counts moved since the last snapshot.
     rows_dirty: bool,
+    /// Gains since the last durable commit; `None` when nothing is
+    /// logged (in-memory databases). Behind a mutex only so a commit,
+    /// which holds the table's *read* lock, can reset it; DML reaches
+    /// it through `get_mut` under the write lock.
+    journal: Option<Mutex<Journal>>,
+}
+
+/// A maintainer's gains since the last durable commit: everything in
+/// its retained state that a delta record must carry, beyond the fixed
+/// size counters it logs whole.
+struct Journal {
+    /// Per column: distinct values first seen since the commit, in
+    /// arrival order.
+    fresh: Vec<Vec<Value>>,
+    /// Per column: the sample's length at the commit.
+    sample_marks: Vec<usize>,
 }
 
 struct ColBuilder {
@@ -304,8 +327,9 @@ struct ColBuilder {
 }
 
 impl ColBuilder {
-    fn absorb(&mut self, v: &Value, sampled: bool) {
-        self.distinct.insert(v.clone());
+    /// Fold `v` in; true when it is a new distinct value.
+    fn absorb(&mut self, v: &Value, sampled: bool) -> bool {
+        let fresh = self.distinct.insert(v.clone());
         if self.min.as_ref().is_none_or(|m| v < m) {
             self.min = Some(v.clone());
         }
@@ -314,6 +338,16 @@ impl ColBuilder {
         }
         if sampled {
             self.sample.push(v.clone());
+        }
+        fresh
+    }
+}
+
+impl Journal {
+    /// Note `v` as new to column `col`'s distinct set.
+    fn note_fresh(journal: &mut Option<Mutex<Journal>>, col: usize, v: &Value) {
+        if let Some(j) = journal {
+            j.get_mut().expect("stats journal poisoned").fresh[col].push(v.clone());
         }
     }
 }
@@ -339,6 +373,29 @@ impl StatsMaintainer {
             update_events: 0,
             dirty: vec![false; n_columns],
             rows_dirty: false,
+            journal: None,
+        }
+    }
+
+    /// Start (or restart) the delta journal at the current state: what
+    /// the maintainer holds now counts as committed.
+    pub(crate) fn track_deltas(&mut self) {
+        self.journal = Some(Mutex::new(Journal {
+            fresh: vec![Vec::new(); self.cols.len()],
+            sample_marks: self.cols.iter().map(|cb| cb.sample.len()).collect(),
+        }));
+    }
+
+    /// A durable commit captured the current state: empty the journal.
+    /// Takes `&self` — the committer holds only the table's read lock.
+    pub(crate) fn mark_committed(&self) {
+        if let Some(j) = &self.journal {
+            let mut j = j.lock().expect("stats journal poisoned");
+            let j = &mut *j;
+            for ((fresh, mark), cb) in j.fresh.iter_mut().zip(&mut j.sample_marks).zip(&self.cols) {
+                fresh.clear();
+                *mark = cb.sample.len();
+            }
         }
     }
 
@@ -346,11 +403,19 @@ impl StatsMaintainer {
         let sampled = self.rows.is_multiple_of(self.stride);
         self.rows += 1;
         self.rows_dirty = true;
-        for ((cb, v), dirty) in self.cols.iter_mut().zip(values).zip(&mut self.dirty) {
+        for (i, ((cb, v), dirty)) in self
+            .cols
+            .iter_mut()
+            .zip(values)
+            .zip(&mut self.dirty)
+            .enumerate()
+        {
             let w = v.encoded_len() as u64;
             self.bytes += w;
             cb.width_sum += w;
-            cb.absorb(v, sampled);
+            if cb.absorb(v, sampled) {
+                Journal::note_fresh(&mut self.journal, i, v);
+            }
             *dirty = true;
         }
     }
@@ -368,7 +433,9 @@ impl StatsMaintainer {
             let (ow, nw) = (o.encoded_len() as u64, n.encoded_len() as u64);
             self.bytes = self.bytes + nw - ow;
             cb.width_sum = cb.width_sum + nw - ow;
-            cb.absorb(n, sampled);
+            if cb.absorb(n, sampled) {
+                Journal::note_fresh(&mut self.journal, i, n);
+            }
             self.dirty[i] = true;
         }
     }
@@ -474,7 +541,83 @@ impl StatsMaintainer {
             update_events,
             dirty,
             rows_dirty,
+            journal: None,
         })
+    }
+
+    /// Serialize the change since the last commit: the fixed-size
+    /// counters and flags whole (they are overwritten on replay), and
+    /// per column the journal's new distinct values, the sample suffix
+    /// past the commit's mark (the mark itself too, so replay can check
+    /// it extends the right prefix), and the current min/max.
+    ///
+    /// # Panics
+    /// If the maintainer keeps no journal — only durable databases log
+    /// deltas, and they journal every maintainer.
+    pub(crate) fn encode_delta(&self, out: &mut Vec<u8>) {
+        use crate::persist::{put_opt_value, put_u16, put_u64, put_u8, put_values};
+        let journal = self
+            .journal
+            .as_ref()
+            .expect("a durable maintainer keeps a journal")
+            .lock()
+            .expect("stats journal poisoned");
+        put_u64(out, self.rows);
+        put_u64(out, self.bytes);
+        put_u64(out, self.update_events);
+        put_u8(out, self.rows_dirty as u8);
+        put_u16(out, self.cols.len() as u16);
+        for (i, (cb, dirty)) in self.cols.iter().zip(&self.dirty).enumerate() {
+            let mark = journal.sample_marks[i];
+            put_u64(out, mark as u64);
+            put_values(out, &journal.fresh[i]);
+            put_values(out, &cb.sample[mark..]);
+            put_opt_value(out, &cb.min);
+            put_opt_value(out, &cb.max);
+            put_u64(out, cb.width_sum);
+            put_u8(out, *dirty as u8);
+        }
+    }
+
+    /// Replay one [`encode_delta`](StatsMaintainer::encode_delta)
+    /// record. Strict: a record whose sample mark is not this
+    /// maintainer's sample length, or whose "new" distinct value is
+    /// already present, was written against a different state (a
+    /// record applied twice, or out of order) and is [`Corrupt`].
+    ///
+    /// [`Corrupt`]: cdpd_types::Error::Corrupt
+    pub(crate) fn apply_delta(
+        &mut self,
+        r: &mut crate::persist::Reader<'_>,
+    ) -> cdpd_types::Result<()> {
+        use cdpd_types::Error;
+        self.rows = r.u64()?;
+        self.bytes = r.u64()?;
+        self.update_events = r.u64()?;
+        self.rows_dirty = r.u8()? != 0;
+        if r.u16()? as usize != self.cols.len() {
+            return Err(Error::Corrupt("stats delta column count mismatch".into()));
+        }
+        for (cb, dirty) in self.cols.iter_mut().zip(&mut self.dirty) {
+            if r.u64()? != cb.sample.len() as u64 {
+                return Err(Error::Corrupt(
+                    "stats delta does not extend the recovered sample".into(),
+                ));
+            }
+            for v in r.values()? {
+                if !cb.distinct.insert(v) {
+                    return Err(Error::Corrupt(
+                        "stats delta re-adds a known distinct value".into(),
+                    ));
+                }
+            }
+            cb.sample.extend(r.values()?);
+            cb.min = r.opt_value()?;
+            cb.max = r.opt_value()?;
+            cb.width_sum = r.u64()?;
+            *dirty = r.u8()? != 0;
+        }
+        Ok(())
     }
 
     /// Materialize [`TableStats`] from the retained state: O(sample)

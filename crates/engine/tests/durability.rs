@@ -6,8 +6,9 @@
 //! contract the crash suite builds on.
 
 use cdpd_engine::{Database, IndexSpec};
-use cdpd_storage::{DurableOptions, MemVfs};
+use cdpd_storage::{DurableOptions, MemVfs, Vfs, VfsFile};
 use cdpd_types::{ColumnDef, Schema, Value};
+use std::sync::atomic::{AtomicU32, Ordering::SeqCst};
 use std::sync::Arc;
 
 fn iv(i: i64) -> Value {
@@ -230,4 +231,208 @@ fn disk_backed_database_round_trips() {
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(after, before);
+}
+
+/// A byte-for-byte copy of every file in `vfs`: what a crash right now
+/// would leave behind, reopenable while the live database runs on.
+fn frozen_copy(vfs: &MemVfs) -> MemVfs {
+    let frozen = MemVfs::new();
+    for name in ["data", "sums", "wal", "hdr.0", "hdr.1"] {
+        if let Some(bytes) = vfs.snapshot(name) {
+            frozen.overwrite(name, bytes);
+        }
+    }
+    frozen
+}
+
+/// Rows, the statistics snapshot, and the statistics a refresh then
+/// rebuilds from the maintainer — so a lost distinct value, sample
+/// entry, or sampling-clock tick shows up even while the snapshot
+/// still hides it.
+fn stats_digest(db: &Database) -> (Vec<Vec<Value>>, String, String) {
+    let rows = digest(db).0;
+    let stats = format!("{:?}", db.stats("t").unwrap());
+    db.refresh_stats("t").unwrap();
+    let refreshed = format!("{:?}", db.stats("t").unwrap());
+    (rows, stats, refreshed)
+}
+
+/// A single-row `UPDATE` on a large analyzed table commits a delta
+/// catalog record, so its WAL cost follows the change, not the table:
+/// re-logging every column's distinct set and sample (the full image)
+/// costs ~1.2 MB per commit at this size.
+#[test]
+fn single_row_updates_log_delta_records_and_replay_exactly() {
+    const ROWS: i64 = 20_000;
+    const UPDATES: i64 = 500;
+    let vfs = MemVfs::new();
+    let opts = DurableOptions {
+        checkpoint_wal_bytes: 0, // only the explicit checkpoint below
+        ..DurableOptions::default()
+    };
+    let mut db = Database::open_with_vfs(Arc::new(vfs.clone()), opts.clone()).unwrap();
+    load(&mut db, ROWS);
+    db.create_index(&IndexSpec::new("t", &["a"])).unwrap();
+    for k in 0..UPDATES {
+        let before = db.pager().wal_bytes();
+        // A value `c` never held: a new distinct value and (at this
+        // table's sampling stride) a new sample entry every time.
+        db.execute_sql(&format!(
+            "UPDATE t SET c = {} WHERE a = {}",
+            ROWS + k,
+            k * 37 % ROWS
+        ))
+        .unwrap();
+        let grew = db.pager().wal_bytes() - before;
+        assert!(grew < 64 * 1024, "update {k} logged {grew} WAL bytes");
+        if k == UPDATES / 2 {
+            db.checkpoint().unwrap();
+        }
+    }
+    let recovered = Database::open_with_vfs(Arc::new(frozen_copy(&vfs)), opts).unwrap();
+    assert_eq!(stats_digest(&recovered), stats_digest(&db));
+}
+
+/// Which operation [`FlakyVfs`] fails.
+#[derive(Clone, Copy, PartialEq)]
+enum Fail {
+    Write,
+    Sync,
+}
+
+/// A [`MemVfs`] whose writes or fsyncs of one file fail while `failing`
+/// is positive: each failure decrements it. A failed write stores
+/// nothing; the bytes written before a failed fsync stay visible, as
+/// they may on a real disk.
+struct FlakyVfs {
+    inner: MemVfs,
+    file: &'static str,
+    fail: Fail,
+    failing: Arc<AtomicU32>,
+}
+
+struct FlakyFile {
+    inner: Box<dyn VfsFile>,
+    fail: Fail,
+    failing: Option<Arc<AtomicU32>>,
+}
+
+impl FlakyFile {
+    fn inject(&self, op: Fail) -> cdpd_types::Result<()> {
+        let failing = self.failing.as_ref().filter(|_| op == self.fail);
+        if failing.is_some_and(|f| f.fetch_update(SeqCst, SeqCst, |n| n.checked_sub(1)).is_ok()) {
+            return Err(cdpd_types::Error::Io(std::io::Error::other(
+                "injected I/O failure",
+            )));
+        }
+        Ok(())
+    }
+}
+
+impl Vfs for FlakyVfs {
+    fn open(&self, name: &str) -> cdpd_types::Result<Box<dyn VfsFile>> {
+        Ok(Box::new(FlakyFile {
+            inner: self.inner.open(name)?,
+            fail: self.fail,
+            failing: (name == self.file).then(|| self.failing.clone()),
+        }))
+    }
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+    fn delete(&self, name: &str) -> cdpd_types::Result<()> {
+        self.inner.delete(name)
+    }
+}
+
+impl VfsFile for FlakyFile {
+    fn read_at(&self, off: u64, buf: &mut [u8]) -> cdpd_types::Result<usize> {
+        self.inner.read_at(off, buf)
+    }
+    fn write_at(&self, off: u64, data: &[u8]) -> cdpd_types::Result<()> {
+        self.inject(Fail::Write)?;
+        self.inner.write_at(off, data)
+    }
+    fn sync(&self) -> cdpd_types::Result<()> {
+        self.inject(Fail::Sync)?;
+        self.inner.sync()
+    }
+    fn len(&self) -> cdpd_types::Result<u64> {
+        self.inner.len()
+    }
+    fn truncate(&self, len: u64) -> cdpd_types::Result<()> {
+        self.inner.truncate(len)
+    }
+}
+
+/// Run eight single-row `UPDATE`s (each giving `c` a new distinct
+/// value, on rows spread over the heap), the last two with `failures`
+/// `fail` operations on `file` failing, then reopen a frozen copy and
+/// compare it with the live database. A failed commit fails its
+/// statement, but part or all of it may already be in the log: a later
+/// commit must neither log the same catalog change again (replay
+/// refuses a repeated delta, and the database could not open) nor leave
+/// out a page the failed commit did not log.
+fn updates_survive_failed_io(file: &'static str, fail: Fail, failures: u32, opts: DurableOptions) {
+    let vfs = MemVfs::new();
+    let failing = Arc::new(AtomicU32::new(0));
+    let flaky = FlakyVfs {
+        inner: vfs.clone(),
+        file,
+        fail,
+        failing: failing.clone(),
+    };
+    let mut db = Database::open_with_vfs(Arc::new(flaky), opts.clone()).unwrap();
+    load(&mut db, 500);
+    db.checkpoint().unwrap();
+    let mut failed = 0;
+    for k in 0..8 {
+        if k == 6 {
+            failing.store(failures, SeqCst);
+        }
+        let sql = format!("UPDATE t SET c = {} WHERE a = {}", 1000 + k, k * 131 % 500);
+        if db.execute_sql(&sql).is_err() {
+            failed += 1;
+        }
+    }
+    assert_eq!(
+        failed, failures,
+        "every injected failure fails its statement"
+    );
+    assert_eq!(failing.load(SeqCst), 0);
+    let recovered = Database::open_with_vfs(Arc::new(frozen_copy(&vfs)), opts).unwrap();
+    assert_eq!(stats_digest(&recovered), stats_digest(&db));
+}
+
+fn no_auto_checkpoint() -> DurableOptions {
+    DurableOptions {
+        checkpoint_wal_bytes: 0,
+        ..DurableOptions::default()
+    }
+}
+
+#[test]
+fn a_failed_wal_fsync_does_not_make_the_log_unreplayable() {
+    updates_survive_failed_io("wal", Fail::Sync, 1, no_auto_checkpoint());
+}
+
+#[test]
+fn a_failed_wal_write_does_not_lose_the_commits_pages() {
+    updates_survive_failed_io("wal", Fail::Write, 1, no_auto_checkpoint());
+}
+
+#[test]
+fn a_failed_auto_checkpoint_does_not_make_the_log_unreplayable() {
+    // Every commit crosses the threshold; the last two auto-checkpoints
+    // fail on the data file's fsync after their commits are in the log,
+    // so both records are replayed on reopen.
+    updates_survive_failed_io(
+        "data",
+        Fail::Sync,
+        2,
+        DurableOptions {
+            checkpoint_wal_bytes: 1,
+            ..DurableOptions::default()
+        },
+    );
 }

@@ -4,10 +4,11 @@
 //! the session's own thread, so a [`ThreadIoScope`] around it measures
 //! *exactly* that statement's logical I/O even while other sessions
 //! hammer the same pager — the per-session attribution the obs ledger
-//! tests reconcile against the global counters. Statement errors are
-//! reported in an error frame and the session keeps serving; only
-//! protocol violations (an oversized length prefix, after which the
-//! stream cannot be resynchronized) and transport errors end it.
+//! tests reconcile against the global counters. Statement errors —
+//! including a result too large for one frame — are reported in an
+//! error frame and the session keeps serving; only protocol violations
+//! (an oversized length prefix, after which the stream cannot be
+//! resynchronized) and transport errors end it.
 
 use crate::proto::{
     self, MAX_PAYLOAD, OP_EXEC, OP_METRICS, OP_PING, OP_QUERY, STATUS_ERR, STATUS_OK,
@@ -71,12 +72,12 @@ fn session_loop(
             OP_PING => respond_ok(&mut stream, &[])?,
             OP_METRICS => {
                 let text = cdpd_obs::openmetrics::render(&cdpd_obs::registry().snapshot());
-                respond_ok(&mut stream, text.as_bytes())?;
+                respond_payload(&mut stream, text.as_bytes())?;
             }
             OP_QUERY | OP_EXEC => {
                 cdpd_obs::counter!("server.statements").inc();
                 match run_statement(db, tag, &payload, advisor_tx) {
-                    Ok(result) => respond_ok(&mut stream, &proto::encode_result(&result))?,
+                    Ok(result) => respond_payload(&mut stream, &proto::encode_result(&result))?,
                     Err(e) => {
                         // Statement failure: the session (and the epoch
                         // catalog under it) stays fully usable.
@@ -143,6 +144,23 @@ fn as_dml(stmt: &Statement) -> Option<Dml> {
         Statement::Delete(d) => Some(Dml::Delete(d.clone())),
         _ => None,
     }
+}
+
+/// Answer with `payload`, or — when it cannot fit one frame — with a
+/// [`Error::TooLarge`] error frame, so the peer learns why and the
+/// session stays in sync.
+fn respond_payload(stream: &mut TcpStream, payload: &[u8]) -> Result<()> {
+    if payload.len() > MAX_PAYLOAD {
+        cdpd_obs::counter!("server.errors").inc();
+        return respond_err(
+            stream,
+            &Error::TooLarge(format!(
+                "result of {} bytes exceeds the {MAX_PAYLOAD}-byte frame cap",
+                payload.len()
+            )),
+        );
+    }
+    respond_ok(stream, payload)
 }
 
 fn respond_ok(stream: &mut TcpStream, payload: &[u8]) -> Result<()> {

@@ -264,6 +264,54 @@ fn oversized_announcement_errors_and_closes_the_connection() {
 }
 
 #[test]
+fn oversized_result_gets_an_error_frame_and_the_session_keeps_serving() {
+    const BIG_ROWS: i64 = 40_000;
+    let db = Database::new();
+    db.create_table(
+        "t",
+        Schema::new(vec![
+            ColumnDef::int("a"),
+            ColumnDef::int("b"),
+            ColumnDef::int("c"),
+            ColumnDef::int("d"),
+        ]),
+    )
+    .expect("fresh table");
+    let rows: Vec<Vec<Value>> = (0..BIG_ROWS)
+        .map(|i| (0..4).map(|c| Value::Int(i * 4 + c)).collect())
+        .collect();
+    db.insert_many("t", rows.iter().map(Vec::as_slice))
+        .expect("rows match schema");
+    db.analyze("t").expect("table exists");
+    let db = Arc::new(db);
+
+    // The premise: the materialized result cannot fit one frame.
+    let cdpd_sql::Statement::Select(all) = cdpd_sql::parse("SELECT * FROM t").expect("parses")
+    else {
+        unreachable!()
+    };
+    let local = db.query(&all).expect("local query");
+    assert!(proto::encode_result(&local).len() > proto::MAX_PAYLOAD);
+
+    let (handle, join) = start(Server::bind(db, "127.0.0.1:0").expect("bind"));
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let err = client
+        .query("SELECT * FROM t")
+        .expect_err("an oversized result must fail");
+    assert!(matches!(err, Error::TooLarge(_)), "{err}");
+
+    // The same connection keeps serving: nothing was half-written.
+    client.ping().expect("session survives an oversized result");
+    let r = client
+        .query("SELECT * FROM t WHERE a = 4")
+        .expect("small query runs");
+    assert_eq!(r.count, 1);
+    drop(client);
+    let report = stop(&handle, join);
+    assert_eq!(report.sessions, 1);
+}
+
+#[test]
 fn mid_statement_disconnect_leaves_the_server_healthy() {
     let db = loaded_db(19);
     let (handle, join) = start(Server::bind(db.clone(), "127.0.0.1:0").expect("bind"));

@@ -23,7 +23,14 @@
 //! 2. the WAL is truncated only after the new header is fsynced — so a
 //!    crash anywhere inside a checkpoint recovers from either the old
 //!    header plus the full WAL or the new header plus a WAL whose stale
-//!    transactions are skipped by sequence number.
+//!    transactions are skipped by sequence number;
+//! 3. a header's application image is the application state as of the
+//!    header's sequence number — so recovery applies exactly the
+//!    records of the WAL transactions past it, each once. A commit's
+//!    record may be a full image or a delta on the previous commit, so
+//!    the pager never headers a record: every checkpoint, the automatic
+//!    one inside [`crate::Pager::commit`] included, takes the caller's
+//!    image.
 
 use crate::crc::{crc64, crc64_begin, crc64_finish, crc64_update};
 use crate::pager::{Page, PAGER_SHARDS, PAGE_SIZE};
@@ -108,6 +115,9 @@ impl DurableStats {
 }
 
 /// The committed allocation state carried by commit frames and headers.
+/// In a commit frame `app_meta` is that transaction's application
+/// record; in a header it is the full application image as of the
+/// header's sequence number.
 #[derive(Clone, Default)]
 pub(crate) struct CommittedMeta {
     pub(crate) next: u32,
@@ -115,18 +125,18 @@ pub(crate) struct CommittedMeta {
     pub(crate) app_meta: Vec<u8>,
 }
 
-pub(crate) fn encode_meta(meta: &CommittedMeta) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&meta.next.to_le_bytes());
-    out.extend_from_slice(&(meta.free.len() as u32).to_le_bytes());
-    for list in &meta.free {
+pub(crate) fn encode_meta(next: u32, free: &[Vec<PageId>], app_meta: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + 4 * PAGER_SHARDS + app_meta.len() + 8);
+    out.extend_from_slice(&next.to_le_bytes());
+    out.extend_from_slice(&(free.len() as u32).to_le_bytes());
+    for list in free {
         out.extend_from_slice(&(list.len() as u32).to_le_bytes());
         for id in list {
             out.extend_from_slice(&id.raw().to_le_bytes());
         }
     }
-    out.extend_from_slice(&(meta.app_meta.len() as u64).to_le_bytes());
-    out.extend_from_slice(&meta.app_meta);
+    out.extend_from_slice(&(app_meta.len() as u64).to_le_bytes());
+    out.extend_from_slice(app_meta);
     out
 }
 
@@ -168,6 +178,13 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> Result<CommittedMeta> {
     })
 }
 
+/// The allocation state of the newest commit: what a checkpoint
+/// headers beside the caller's application image.
+pub(crate) struct Committed {
+    pub(crate) next: u32,
+    pub(crate) free: Vec<Vec<PageId>>,
+}
+
 /// A parsed checkpoint header.
 pub(crate) struct Header {
     pub(crate) ckpt_no: u64,
@@ -175,8 +192,14 @@ pub(crate) struct Header {
     pub(crate) meta: CommittedMeta,
 }
 
-pub(crate) fn encode_header(ckpt_no: u64, seq: u64, meta: &CommittedMeta) -> Vec<u8> {
-    let body = encode_meta(meta);
+pub(crate) fn encode_header(
+    ckpt_no: u64,
+    seq: u64,
+    next: u32,
+    free: &[Vec<PageId>],
+    image: &[u8],
+) -> Vec<u8> {
+    let body = encode_meta(next, free, image);
     let mut out = Vec::with_capacity(8 + 8 + 8 + 4 + body.len() + 8);
     out.extend_from_slice(HDR_MAGIC);
     out.extend_from_slice(&ckpt_no.to_le_bytes());
@@ -224,14 +247,15 @@ pub(crate) struct Durable {
     pub(crate) seq: AtomicU64,
     /// Checkpoints taken over the pager's life (drives header ping-pong).
     pub(crate) ckpt_no: AtomicU64,
-    /// Snapshot of the last committed state (what a checkpoint headers).
-    pub(crate) committed: Mutex<CommittedMeta>,
-    /// Serializes whole commits: dirty-page collection, sequence-number
-    /// assignment, WAL append, and committed-meta publication must be
-    /// one atomic unit even when several sessions commit concurrently
-    /// (the engine orders mutation vs. commit with its own phase lock;
-    /// this mutex makes `Pager::commit` itself safe regardless).
-    pub(crate) commit_serial: Mutex<()>,
+    /// The last committed state, and the lock that serializes whole
+    /// commits and checkpoints: dirty-page collection, sequence-number
+    /// assignment, WAL append, committed-state publication, and a
+    /// checkpoint's header must each see one consistent commit even
+    /// when several sessions commit or checkpoint concurrently (the
+    /// engine orders mutation vs. commit with its own phase lock; this
+    /// mutex makes `Pager::commit` and `Pager::checkpoint` safe
+    /// regardless).
+    pub(crate) committed: Mutex<Committed>,
     pub(crate) wal_appends: AtomicU64,
     pub(crate) wal_commits: AtomicU64,
     pub(crate) wal_fsyncs: AtomicU64,
@@ -294,13 +318,20 @@ impl Durable {
 }
 
 /// Outcome of opening a durable pager: the recovered pager plus the
-/// application metadata blob of the last committed transaction.
+/// application state to rebuild on top of it — the checkpoint header's
+/// full image and the records of every transaction committed after it.
 pub struct DurableOpen {
     /// The recovered pager.
     pub pager: crate::Pager,
-    /// Application metadata from the newest committed transaction (the
-    /// engine's serialized catalog), empty for a fresh database.
-    pub app_meta: Vec<u8>,
+    /// The adopted checkpoint header's application image: the full
+    /// application state as of the header's sequence number (empty for
+    /// a fresh database).
+    pub app_image: Vec<u8>,
+    /// The application records of the WAL transactions replayed past
+    /// the header, oldest first. Applying each in turn to
+    /// [`DurableOpen::app_image`] yields the state as of
+    /// [`DurableOpen::committed_seq`].
+    pub app_records: Vec<Vec<u8>>,
     /// Sequence number of the newest committed transaction (0 for a
     /// fresh database).
     pub committed_seq: u64,
@@ -362,7 +393,7 @@ mod tests {
                 .collect(),
             app_meta: b"catalog bytes".to_vec(),
         };
-        let decoded = decode_meta(&encode_meta(&meta)).unwrap();
+        let decoded = decode_meta(&encode_meta(meta.next, &meta.free, &meta.app_meta)).unwrap();
         assert_eq!(decoded.next, 42);
         assert_eq!(decoded.free.len(), PAGER_SHARDS);
         assert_eq!(decoded.free[3].len(), 3);
@@ -378,7 +409,7 @@ mod tests {
             free: vec![Vec::new(); PAGER_SHARDS],
             app_meta: Vec::new(),
         };
-        let mut bytes = encode_meta(&meta);
+        let mut bytes = encode_meta(meta.next, &meta.free, &meta.app_meta);
         bytes.push(0); // trailing byte
         assert!(decode_meta(&bytes).is_err());
     }
@@ -391,7 +422,7 @@ mod tests {
             free: vec![Vec::new(); PAGER_SHARDS],
             app_meta: b"app".to_vec(),
         };
-        let bytes = encode_header(3, 19, &meta);
+        let bytes = encode_header(3, 19, meta.next, &meta.free, &meta.app_meta);
         vfs.open("hdr.0").unwrap().write_at(0, &bytes).unwrap();
         let h = read_header(&*vfs.open("hdr.0").unwrap()).unwrap();
         assert_eq!(h.ckpt_no, 3);

@@ -1,6 +1,6 @@
 use crate::durable::{
-    encode_header, encode_meta, recover_base, CommittedMeta, Durable, DurableOpen, DurableOptions,
-    DurableStats, FILE_DATA, FILE_HDR, FILE_SUMS, FILE_WAL,
+    encode_header, encode_meta, recover_base, Committed, CommittedMeta, Durable, DurableOpen,
+    DurableOptions, DurableStats, FILE_DATA, FILE_HDR, FILE_SUMS, FILE_WAL,
 };
 use crate::vfs::Vfs;
 use crate::wal::WalWriter;
@@ -316,11 +316,13 @@ impl Pager {
         // Replay the committed WAL suffix on top of the header state.
         // Transactions at or below the header's sequence predate the
         // checkpoint that wrote it (the crash hit between header fsync
-        // and WAL truncation) and are skipped.
+        // and WAL truncation) and are skipped: the header's image
+        // already holds them, and applying a record twice is wrong.
         let (txns, valid_len) = crate::wal::scan(&*wal_file)?;
+        let app_image = std::mem::take(&mut meta.app_meta);
+        let mut app_records = Vec::new();
         let mut seq = hdr_seq;
         let mut overlay: std::collections::HashMap<u32, Page> = std::collections::HashMap::new();
-        let mut replayed = 0u64;
         for txn in txns {
             if txn.seq <= hdr_seq {
                 continue;
@@ -328,15 +330,18 @@ impl Pager {
             for (id, page) in txn.pages {
                 overlay.insert(id.raw(), page);
             }
-            meta = crate::durable::decode_meta(&txn.meta)?;
+            let txn_meta = crate::durable::decode_meta(&txn.meta)?;
+            meta.next = txn_meta.next;
+            meta.free = txn_meta.free;
+            app_records.push(txn_meta.app_meta);
             seq = txn.seq;
-            replayed += 1;
         }
+        let replayed = app_records.len() as u64;
 
         if fresh {
             // Make the empty state durable so a later open can always
             // find a valid header once transactions start committing.
-            let bytes = encode_header(0, 0, &meta);
+            let bytes = encode_header(0, 0, meta.next, &meta.free, &[]);
             hdr0.write_at(0, &bytes)?;
             hdr0.truncate(bytes.len() as u64)?;
             hdr0.sync()?;
@@ -350,8 +355,10 @@ impl Pager {
             opts,
             seq: AtomicU64::new(seq),
             ckpt_no: AtomicU64::new(ckpt_no),
-            committed: Mutex::new(meta.clone()),
-            commit_serial: Mutex::new(()),
+            committed: Mutex::new(Committed {
+                next: meta.next,
+                free: meta.free.clone(),
+            }),
             wal_appends: AtomicU64::new(0),
             wal_commits: AtomicU64::new(0),
             wal_fsyncs: AtomicU64::new(0),
@@ -388,7 +395,8 @@ impl Pager {
         cdpd_obs::counter!("storage.recovery.opens").inc();
         cdpd_obs::counter!("storage.recovery.replayed_txns").add(replayed);
         Ok(DurableOpen {
-            app_meta: meta.app_meta.clone(),
+            app_image,
+            app_records,
             committed_seq: seq,
             pager,
         })
@@ -686,21 +694,36 @@ impl Pager {
 
     /// Commit every mutation since the last commit: append the dirty
     /// page images plus a commit frame carrying the allocation state
-    /// and `app_meta` (the caller's catalog blob) to the WAL, fsyncing
-    /// per the group-commit policy. Returns the commit's sequence
-    /// number. No-op (returning 0) on an in-memory pager.
+    /// and `record` to the WAL, fsyncing per the group-commit policy.
+    /// `record` is the application's record of the transaction — a
+    /// full image of its state, or a delta on the previous commit;
+    /// recovery hands every record past the checkpoint header back in
+    /// order ([`DurableOpen::app_records`]). When this commit crosses
+    /// the auto-checkpoint threshold the pager calls `image` for the
+    /// full application state as of this commit and headers it, so the
+    /// caller must still hold whatever keeps that state from moving (a
+    /// caller whose record is a full image passes `|| record.to_vec()`).
+    /// Returns the commit's sequence number. No-op (returning 0) on an
+    /// in-memory pager.
     ///
-    /// Commits are serialized internally (racing callers queue on a
-    /// commit mutex), and readers may run concurrently — but a commit
-    /// snapshots *every* page dirtied since the last commit, so the
-    /// caller must ensure no mutation is mid-flight when it commits
+    /// Commits are serialized internally (racing callers queue on the
+    /// committed-state mutex), and readers may run concurrently — but a
+    /// commit snapshots *every* page dirtied since the last commit, so
+    /// the caller must ensure no mutation is mid-flight when it commits
     /// (the engine holds its commit-phase lock exclusively here, and
     /// shared during statement mutation, for exactly this reason).
-    pub fn commit(&self, app_meta: &[u8]) -> Result<u64> {
+    ///
+    /// # Errors
+    /// An I/O error may come after the commit frame reached the log (a
+    /// failed fsync, or a failed auto-checkpoint): the commit may then
+    /// survive a crash, so a caller logging deltas must not log this
+    /// one's change again. When the WAL append fails, the pages stay
+    /// dirty and the next commit logs them again.
+    pub fn commit(&self, record: &[u8], image: impl FnOnce() -> Vec<u8>) -> Result<u64> {
         let Some(d) = &self.durable else {
             return Ok(0);
         };
-        let _serial = d.commit_serial.lock().expect("pager lock poisoned");
+        let mut committed = d.committed.lock().expect("pager lock poisoned");
         let _span = cdpd_obs::span!("storage.commit");
         let mut dirty: Vec<(PageId, Page)> = Vec::new();
         for (s, shard) in self.shards.iter().enumerate() {
@@ -715,67 +738,107 @@ impl Pager {
         }
         dirty.sort_by_key(|(id, _)| id.raw());
 
-        let meta = CommittedMeta {
-            next: self.next.load(Ordering::Relaxed),
-            free: self
-                .shards
-                .iter()
-                .map(|s| s.free.lock().expect("pager lock poisoned").clone())
-                .collect(),
-            app_meta: app_meta.to_vec(),
-        };
-        let encoded = encode_meta(&meta);
+        let next = self.next.load(Ordering::Relaxed);
+        let free: Vec<Vec<PageId>> = self
+            .shards
+            .iter()
+            .map(|s| s.free.lock().expect("pager lock poisoned").clone())
+            .collect();
+        let encoded = encode_meta(next, &free, record);
         let seq = d.seq.load(Ordering::Relaxed) + 1;
-        {
-            let mut wal = d.wal.lock().expect("pager lock poisoned");
-            for (id, page) in &dirty {
-                wal.append_page(*id, page)?;
-                d.wal_appends.fetch_add(1, Ordering::Relaxed);
-                cdpd_obs::tracked_counter!("storage.wal.appends").inc();
+        let wal_len = match Self::append_txn(d, &dirty, seq, &encoded) {
+            Ok(len) => len,
+            Err(e) => {
+                // Some of these page frames may not have reached the
+                // log: keep them dirty so the next commit logs them.
+                for (id, _) in &dirty {
+                    let mut frames = self.shards[shard_of(*id)]
+                        .frames
+                        .write()
+                        .expect("pager lock poisoned");
+                    frames[slot_of(*id)].dirty_log = true;
+                }
+                return Err(e);
             }
-            let synced = wal.append_commit(seq, &encoded, d.opts.group_commit)?;
-            d.wal_commits.fetch_add(1, Ordering::Relaxed);
-            cdpd_obs::tracked_counter!("storage.wal.commits").inc();
-            if synced {
-                d.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
-                cdpd_obs::tracked_counter!("storage.wal.fsyncs").inc();
-            }
-        }
+        };
         d.seq.store(seq, Ordering::Relaxed);
-        *d.committed.lock().expect("pager lock poisoned") = meta;
+        committed.next = next;
+        committed.free = free;
 
-        if d.opts.checkpoint_wal_bytes > 0 && self.wal_bytes() > d.opts.checkpoint_wal_bytes {
-            self.checkpoint()?;
+        if d.opts.checkpoint_wal_bytes > 0 && wal_len > d.opts.checkpoint_wal_bytes {
+            // Best effort: pages an online index build wrote since the
+            // commit above are not in the log yet, so writing them back
+            // would break the write-ahead rule — leave the checkpoint to
+            // a later commit rather than fail this one, which is durable.
+            if !self.has_uncommitted() {
+                self.checkpoint_locked(d, &committed, &image())?;
+            }
         }
         Ok(seq)
     }
 
+    /// Append one transaction — `dirty`'s page frames and a commit
+    /// frame carrying `meta` — to the WAL, returning the log's length.
+    fn append_txn(d: &Durable, dirty: &[(PageId, Page)], seq: u64, meta: &[u8]) -> Result<u64> {
+        let mut wal = d.wal.lock().expect("pager lock poisoned");
+        for (id, page) in dirty {
+            wal.append_page(*id, page)?;
+            d.wal_appends.fetch_add(1, Ordering::Relaxed);
+            cdpd_obs::tracked_counter!("storage.wal.appends").inc();
+        }
+        let synced = wal.append_commit(seq, meta, d.opts.group_commit)?;
+        d.wal_commits.fetch_add(1, Ordering::Relaxed);
+        cdpd_obs::tracked_counter!("storage.wal.commits").inc();
+        if synced {
+            d.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
+            cdpd_obs::tracked_counter!("storage.wal.fsyncs").inc();
+        }
+        Ok(wal.len())
+    }
+
+    /// Whether any page was mutated since the last commit.
+    fn has_uncommitted(&self) -> bool {
+        self.shards.iter().any(|shard| {
+            let frames = shard.frames.read().expect("pager lock poisoned");
+            frames.iter().any(|f| f.dirty_log)
+        })
+    }
+
     /// Flush every dirty page to the checksummed data file, make the
-    /// committed state durable in a ping-pong header, and truncate the
-    /// WAL. No-op on an in-memory pager.
+    /// committed state durable in a ping-pong header holding `image`,
+    /// and truncate the WAL. `image` must be the full application state
+    /// as of the newest commit (the caller holds whatever keeps commits
+    /// from landing between building it and this call): recovery
+    /// applies only the records committed after the header to it. No-op
+    /// on an in-memory pager.
     ///
     /// # Errors
     /// [`Error::InvalidArgument`] if uncommitted mutations exist —
     /// writing them back would bypass the write-ahead rule; call
     /// [`Pager::commit`] first.
-    pub fn checkpoint(&self) -> Result<()> {
+    pub fn checkpoint(&self, image: &[u8]) -> Result<()> {
         let Some(d) = &self.durable else {
             return Ok(());
         };
+        let committed = d.committed.lock().expect("pager lock poisoned");
+        if self.has_uncommitted() {
+            return Err(Error::InvalidArgument(
+                "checkpoint with uncommitted pages — commit first".into(),
+            ));
+        }
+        self.checkpoint_locked(d, &committed, image)
+    }
+
+    /// The checkpoint proper, with the committed-state lock held (so no
+    /// commit lands between the header's sequence number and its
+    /// contents) and the log known to cover every dirty page.
+    fn checkpoint_locked(&self, d: &Durable, committed: &Committed, image: &[u8]) -> Result<()> {
         let _span = cdpd_obs::span!("storage.checkpoint");
         let started = std::time::Instant::now();
 
         // The write-ahead rule requires every page we are about to
         // write back to be durable in the log first: sync any
-        // group-commit debt, and refuse if uncommitted mutations exist.
-        for shard in &self.shards {
-            let frames = shard.frames.read().expect("pager lock poisoned");
-            if frames.iter().any(|f| f.dirty_log) {
-                return Err(Error::InvalidArgument(
-                    "checkpoint with uncommitted pages — commit first".into(),
-                ));
-            }
-        }
+        // group-commit debt.
         {
             let mut wal = d.wal.lock().expect("pager lock poisoned");
             wal.sync()?;
@@ -801,8 +864,7 @@ impl Pager {
 
         let ckpt_no = d.ckpt_no.load(Ordering::Relaxed) + 1;
         let seq = d.seq.load(Ordering::Relaxed);
-        let meta = d.committed.lock().expect("pager lock poisoned").clone();
-        let bytes = encode_header(ckpt_no, seq, &meta);
+        let bytes = encode_header(ckpt_no, seq, committed.next, &committed.free, image);
         let slot = (ckpt_no % 2) as usize;
         d.hdr[slot].write_at(0, &bytes)?;
         d.hdr[slot].truncate(bytes.len() as u64)?;
@@ -1007,13 +1069,15 @@ mod tests {
         let b = pager.allocate();
         pager.update(a, |p| p[0] = 0x11).unwrap();
         pager.update(b, |p| p[0] = 0x22).unwrap();
-        let seq = pager.commit(b"app state").unwrap();
+        let seq = pager
+            .commit(b"app state", || b"app state".to_vec())
+            .unwrap();
         assert_eq!(seq, 1);
         drop(pager); // "crash" — nothing checkpointed, only the WAL holds state
 
         let reopened = open(&vfs, DurableOptions::default());
         assert_eq!(reopened.committed_seq, 1);
-        assert_eq!(reopened.app_meta, b"app state");
+        assert_eq!(reopened.app_records, vec![b"app state".to_vec()]);
         assert_eq!(reopened.pager.page_count(), 2);
         assert_eq!(reopened.pager.read(a).unwrap()[0], 0x11);
         assert_eq!(reopened.pager.read(b).unwrap()[0], 0x22);
@@ -1025,12 +1089,12 @@ mod tests {
         let pager = open(&vfs, DurableOptions::default()).pager;
         let a = pager.allocate();
         pager.update(a, |p| p[0] = 1).unwrap();
-        pager.commit(b"v1").unwrap();
+        pager.commit(b"v1", || b"v1".to_vec()).unwrap();
         pager.update(a, |p| p[0] = 2).unwrap(); // never committed
         drop(pager);
 
         let reopened = open(&vfs, DurableOptions::default());
-        assert_eq!(reopened.app_meta, b"v1");
+        assert_eq!(reopened.app_records, vec![b"v1".to_vec()]);
         assert_eq!(
             reopened.pager.read(a).unwrap()[0],
             1,
@@ -1046,9 +1110,9 @@ mod tests {
         for (i, &id) in ids.iter().enumerate() {
             pager.update(id, |p| p[0] = i as u8).unwrap();
         }
-        pager.commit(b"loaded").unwrap();
+        pager.commit(b"loaded", || b"loaded".to_vec()).unwrap();
         assert!(pager.wal_bytes() > 0);
-        pager.checkpoint().unwrap();
+        pager.checkpoint(b"loaded").unwrap();
         assert_eq!(pager.wal_bytes(), 0, "checkpoint truncates the log");
         let stats = pager.durable_stats();
         assert_eq!(stats.checkpoints, 1);
@@ -1074,10 +1138,10 @@ mod tests {
         let pager = open(&vfs, DurableOptions::default()).pager;
         let a = pager.allocate();
         pager.update(a, |p| p[0] = 1).unwrap();
-        let err = pager.checkpoint().unwrap_err();
+        let err = pager.checkpoint(b"").unwrap_err();
         assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
-        pager.commit(b"").unwrap();
-        pager.checkpoint().unwrap();
+        pager.commit(b"", || b"".to_vec()).unwrap();
+        pager.checkpoint(b"").unwrap();
     }
 
     #[test]
@@ -1086,7 +1150,7 @@ mod tests {
         let pager = open(&vfs, DurableOptions::default()).pager;
         let ids: Vec<PageId> = (0..10).map(|_| pager.allocate()).collect();
         pager.free(&ids[2..5]);
-        pager.commit(b"").unwrap();
+        pager.commit(b"", || b"".to_vec()).unwrap();
         drop(pager);
 
         let pager = open(&vfs, DurableOptions::default()).pager;
@@ -1113,8 +1177,8 @@ mod tests {
         for &id in &ids {
             pager.update(id, |p| p[0] = id.raw() as u8).unwrap();
         }
-        pager.commit(b"").unwrap();
-        pager.checkpoint().unwrap(); // pages become clean ⇒ evictable
+        pager.commit(b"", || b"".to_vec()).unwrap();
+        pager.checkpoint(b"").unwrap(); // pages become clean ⇒ evictable
         assert!(
             pager.resident_pages() <= PAGER_SHARDS,
             "checkpoint enforces the budget ({} resident)",
@@ -1146,7 +1210,7 @@ mod tests {
         let id = pager.allocate();
         for i in 0..40u8 {
             pager.update(id, |p| p[0] = i).unwrap();
-            pager.commit(b"").unwrap();
+            pager.commit(b"", || b"".to_vec()).unwrap();
         }
         assert!(
             pager.durable_stats().checkpoints > 0,
@@ -1161,8 +1225,8 @@ mod tests {
         let pager = open(&vfs, DurableOptions::default()).pager;
         let id = pager.allocate();
         pager.update(id, |p| p[0] = 7).unwrap();
-        pager.commit(b"").unwrap();
-        pager.checkpoint().unwrap();
+        pager.commit(b"", || b"".to_vec()).unwrap();
+        pager.checkpoint(b"").unwrap();
         drop(pager);
 
         let mut data = vfs.snapshot(FILE_DATA).unwrap();
@@ -1185,8 +1249,8 @@ mod tests {
         let pager = open(&vfs, DurableOptions::default()).pager;
         let id = pager.allocate();
         pager.update(id, |p| p[0] = 1).unwrap();
-        pager.commit(b"").unwrap();
-        pager.checkpoint().unwrap();
+        pager.commit(b"", || b"".to_vec()).unwrap();
+        pager.checkpoint(b"").unwrap();
         drop(pager);
 
         for name in FILE_HDR {
@@ -1212,27 +1276,84 @@ mod tests {
         let pager = open(&vfs, DurableOptions::default()).pager;
         let id = pager.allocate();
         pager.update(id, |p| p[0] = 5).unwrap();
-        pager.commit(b"v1").unwrap();
+        pager.commit(b"v1", || b"v1".to_vec()).unwrap();
         let wal_before_ckpt = vfs.snapshot(FILE_WAL).unwrap();
-        pager.checkpoint().unwrap();
+        pager.checkpoint(b"v1").unwrap();
         drop(pager);
         // Put the pre-checkpoint WAL back (as if truncation never hit disk).
         vfs.overwrite(FILE_WAL, wal_before_ckpt);
 
         let reopened = open(&vfs, DurableOptions::default());
         assert_eq!(reopened.committed_seq, 1, "stale txn must not double-apply");
-        assert_eq!(reopened.app_meta, b"v1");
+        assert_eq!(reopened.app_image, b"v1");
+        assert!(reopened.app_records.is_empty());
         assert_eq!(reopened.pager.read(id).unwrap()[0], 5);
         // And committing again continues the sequence.
-        assert_eq!(reopened.pager.commit(b"v2").unwrap(), 2);
+        assert_eq!(reopened.pager.commit(b"v2", || b"v2".to_vec()).unwrap(), 2);
+    }
+
+    #[test]
+    fn records_replay_in_order_over_the_header_image() {
+        let vfs = MemVfs::new();
+        let pager = open(&vfs, DurableOptions::default()).pager;
+        let id = pager.allocate();
+        pager.update(id, |p| p[0] = 1).unwrap();
+        pager.commit(b"image-1", || b"image-1".to_vec()).unwrap();
+        pager.checkpoint(b"image-1").unwrap();
+        pager.update(id, |p| p[0] = 2).unwrap();
+        let no_image = || -> Vec<u8> { panic!("no auto-checkpoint is due") };
+        pager.commit(b"delta-2", no_image).unwrap();
+        pager.commit(b"delta-3", no_image).unwrap();
+        drop(pager);
+
+        let reopened = open(&vfs, DurableOptions::default());
+        assert_eq!(reopened.committed_seq, 3);
+        assert_eq!(reopened.app_image, b"image-1");
+        assert_eq!(
+            reopened.app_records,
+            vec![b"delta-2".to_vec(), b"delta-3".to_vec()]
+        );
+        assert_eq!(reopened.pager.read(id).unwrap()[0], 2);
+        reopened.pager.checkpoint(b"image-3").unwrap();
+        drop(reopened);
+
+        let again = open(&vfs, DurableOptions::default());
+        assert_eq!(again.committed_seq, 3);
+        assert_eq!(again.app_image, b"image-3");
+        assert!(again.app_records.is_empty(), "the header covers seq 3");
+        assert_eq!(again.pager.read(id).unwrap()[0], 2);
+    }
+
+    #[test]
+    fn auto_checkpoint_headers_the_callers_image() {
+        let vfs = MemVfs::new();
+        let opts = DurableOptions {
+            checkpoint_wal_bytes: 1, // every commit checkpoints
+            ..DurableOptions::default()
+        };
+        let pager = open(&vfs, opts.clone()).pager;
+        let id = pager.allocate();
+        pager.update(id, |p| p[0] = 1).unwrap();
+        pager.commit(b"image-1", || b"image-1".to_vec()).unwrap();
+        pager.update(id, |p| p[0] = 2).unwrap();
+        pager.commit(b"delta-2", || b"image-2".to_vec()).unwrap();
+        assert_eq!(pager.durable_stats().checkpoints, 2);
+        assert_eq!(pager.wal_bytes(), 0);
+        drop(pager);
+
+        let reopened = open(&vfs, opts);
+        assert_eq!(reopened.committed_seq, 2);
+        assert_eq!(reopened.app_image, b"image-2");
+        assert!(reopened.app_records.is_empty());
+        assert_eq!(reopened.pager.read(id).unwrap()[0], 2);
     }
 
     #[test]
     fn in_memory_pager_reports_no_durable_state() {
         let pager = Pager::new();
         assert!(!pager.is_durable());
-        assert_eq!(pager.commit(b"ignored").unwrap(), 0);
-        pager.checkpoint().unwrap();
+        assert_eq!(pager.commit(b"ignored", || b"ignored".to_vec()).unwrap(), 0);
+        pager.checkpoint(b"").unwrap();
         assert_eq!(pager.durable_stats(), DurableStats::default());
         assert_eq!(pager.wal_bytes(), 0);
         assert_eq!(pager.committed_seq(), 0);

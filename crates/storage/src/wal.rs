@@ -9,9 +9,9 @@
 //!
 //! A *transaction* is zero or more page frames followed by one commit
 //! frame; the commit's `meta` carries the pager allocation state and
-//! the application's catalog blob, so replaying a committed prefix
-//! reconstructs both page contents and everything needed to interpret
-//! them. Each crc64 covers its whole frame (tag through payload), so
+//! the application's record of the transaction, so replaying a
+//! committed prefix reconstructs both page contents and everything
+//! needed to interpret them. Each crc64 covers its whole frame (tag through payload), so
 //! recovery ([`scan`]) can walk the log from the start and stop at the
 //! first torn, short, or corrupt frame: everything up to the last valid
 //! *commit* frame is the committed prefix, and the torn tail past it is

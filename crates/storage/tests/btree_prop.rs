@@ -151,12 +151,12 @@ props! {
             // rewrites pages an earlier checkpoint already wrote back.
             let mid = ops.len() / 2;
             run_ops(&mut tree, &mut model, &ops[..mid]);
-            pager.commit(b"mid").unwrap();
-            pager.checkpoint().unwrap();
+            pager.commit(b"mid", || b"mid".to_vec()).unwrap();
+            pager.checkpoint(b"mid").unwrap();
             run_ops(&mut tree, &mut model, &ops[mid..]);
-            pager.commit(b"end").unwrap();
+            pager.commit(b"end", || b"end".to_vec()).unwrap();
             if ops.len() % 3 == 0 {
-                pager.checkpoint().unwrap();
+                pager.checkpoint(b"end").unwrap();
             }
             (
                 tree.root(),
@@ -168,7 +168,8 @@ props! {
         };
 
         let open = Pager::open_durable(Arc::new(vfs), opts).unwrap();
-        assert_eq!(open.app_meta, b"end");
+        let latest = open.app_records.last().unwrap_or(&open.app_image);
+        assert_eq!(latest, b"end");
         let (root, height, pages, leaves, entries) = parts;
         let mut tree =
             BTree::from_parts(Arc::new(open.pager), root, height, pages, leaves, entries);
@@ -234,8 +235,8 @@ fn checkpointed_tree(vfs: &MemVfs) -> Parts {
         .unwrap();
     }
     assert!(tree.height() >= 2);
-    pager.commit(b"tree").unwrap();
-    pager.checkpoint().unwrap();
+    pager.commit(b"tree", || b"tree".to_vec()).unwrap();
+    pager.checkpoint(b"tree").unwrap();
     (
         tree.root(),
         tree.height(),

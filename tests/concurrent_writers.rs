@@ -21,6 +21,13 @@
 //!    against the build's pinned snapshot; the delta catch-up must
 //!    leave the installed tree answering exactly like an index built
 //!    from the quiesced heap.
+//! 4. **Checkpoints racing writers** on a durable database: one thread
+//!    loops `Database::checkpoint` while sessions update, write app
+//!    state, and refresh statistics. Every header must hold the catalog
+//!    exactly as of its sequence number — a header image that already
+//!    contained a committed-later change would have that change's delta
+//!    record replayed twice — so the reopened files must digest-equal
+//!    the final live state, statistics maintainer included.
 //!
 //! Seeds honour `CDPD_SEED` and session counts `CDPD_THREADS`, so the
 //! CI stress gate can sweep 8 seeds × {1, 2, 8} sessions.
@@ -29,12 +36,13 @@ mod common;
 
 use cdpd::engine::{Database, IndexSpec, QueryResult};
 use cdpd::sql::SelectStmt;
-use cdpd::storage::{IoStats, ThreadIoScope};
+use cdpd::storage::{DurableOptions, IoStats, MemVfs, ThreadIoScope};
 use cdpd::types::{ColumnDef, Schema, Value};
 use cdpd::workload::{generate, retarget, QueryMix, Template, Trace, WorkloadSpec};
 use cdpd_testkit::Prng;
 use common::ROWS_PER_VALUE;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 const ROWS: i64 = 2_000;
 const DOMAIN: i64 = ROWS / ROWS_PER_VALUE;
@@ -479,5 +487,131 @@ fn online_build_catch_up_matches_quiesced_rebuild() {
             rows.len() as u64,
             "seed {seed}: per-value counts must cover every surviving row"
         );
+    }
+}
+
+// --- Configuration 4: checkpoints racing writers -----------------------
+
+/// Statements per session in the checkpoint race.
+const OPS_PER_SESSION: usize = 40;
+
+/// Everything recovery must reproduce: rows, index set, app state, the
+/// statistics snapshot, and — through a refresh, which rebuilds from
+/// the maintainer — the maintainer's distinct sets, sample, and
+/// sampling clock.
+fn durable_digest(db: &Database) -> (Vec<Vec<Value>>, Vec<IndexSpec>, Vec<u8>, String, String) {
+    let stats = format!("{:?}", db.stats("t").expect("table exists"));
+    db.refresh_stats("t").expect("table is analyzed");
+    (
+        sorted_rows(db),
+        db.index_specs("t").expect("table exists"),
+        db.app_state(),
+        stats,
+        format!("{:?}", db.stats("t").expect("table exists")),
+    )
+}
+
+/// A byte copy of every file in `vfs` — what dropping the database at
+/// this quiescent point leaves behind.
+fn frozen_copy(vfs: &MemVfs) -> MemVfs {
+    let frozen = MemVfs::new();
+    for name in ["data", "sums", "wal", "hdr.0", "hdr.1"] {
+        if let Some(bytes) = vfs.snapshot(name) {
+            frozen.overwrite(name, bytes);
+        }
+    }
+    frozen
+}
+
+#[test]
+fn checkpoints_racing_writers_recover_the_final_state() {
+    // A small auto-checkpoint threshold, so headers are also written
+    // from inside commits, racing the explicit ones.
+    let opts = DurableOptions {
+        cache_pages: 0,
+        group_commit: 1,
+        checkpoint_wal_bytes: 32 * 1024,
+    };
+    for seed in seeds() {
+        for sessions in session_counts() {
+            let what = format!("seed {seed} sessions {sessions}");
+            let vfs = MemVfs::new();
+            let db = Database::open_with_vfs(Arc::new(vfs.clone()), opts.clone())
+                .expect("fresh durable database");
+            db.create_table("t", schema()).expect("fresh table");
+            let mut rng = Prng::seed_from_u64(seed);
+            let rows: Vec<Vec<Value>> = (0..ROWS)
+                .map(|_| {
+                    (0..4)
+                        .map(|_| Value::Int(rng.gen_range(0..DOMAIN)))
+                        .collect()
+                })
+                .collect();
+            db.insert_many("t", rows.iter().map(Vec::as_slice))
+                .expect("rows match schema");
+            db.create_index(&IndexSpec::new("t", &["a"]))
+                .expect("build I(a)");
+            db.analyze("t").expect("table exists");
+
+            // Every statement a writer finishes sends a tick; the
+            // checkpointer answers ticks with checkpoints (coalescing a
+            // backlog) until the last writer hangs up.
+            let (tick, ticks) = std::sync::mpsc::channel::<()>();
+            let checkpoints = std::thread::scope(|s| {
+                let db = &db;
+                let checkpointer = s.spawn(move || {
+                    let mut checkpoints = 0u64;
+                    while ticks.recv().is_ok() {
+                        while ticks.try_recv().is_ok() {}
+                        db.checkpoint().expect("racing checkpoint");
+                        checkpoints += 1;
+                    }
+                    checkpoints
+                });
+                for sid in 0..sessions {
+                    let tick = tick.clone();
+                    s.spawn(move || {
+                        let mut rng = Prng::seed_from_u64(
+                            seed ^ (sid as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                        );
+                        for i in 0..OPS_PER_SESSION {
+                            match rng.gen_range(0..10i64) {
+                                0 => db
+                                    .set_app_state(format!("session {sid} op {i}").into_bytes())
+                                    .expect("racing app-state write"),
+                                1 => {
+                                    db.refresh_stats("t").expect("racing refresh");
+                                }
+                                _ => {
+                                    // Values past the load's domain: new
+                                    // distinct values and sample entries
+                                    // for the deltas to carry.
+                                    db.execute_sql(&format!(
+                                        "UPDATE t SET c = {} WHERE a = {}",
+                                        DOMAIN + rng.gen_range(0..10 * DOMAIN),
+                                        rng.gen_range(0..DOMAIN)
+                                    ))
+                                    .expect("racing update");
+                                }
+                            }
+                            // The checkpointer only stops once every
+                            // writer is done, so the send cannot fail
+                            // unless it panicked (reported at join).
+                            let _ = tick.send(());
+                        }
+                    });
+                }
+                drop(tick);
+                checkpointer.join().expect("checkpointer")
+            });
+            assert!(checkpoints > 0, "{what}: the checkpointer must have run");
+
+            let files = frozen_copy(&vfs);
+            let live = durable_digest(&db);
+            drop(db);
+            let reopened =
+                Database::open_with_vfs(Arc::new(files), opts.clone()).expect("reopen recovers");
+            assert_eq!(durable_digest(&reopened), live, "{what}: recovered state");
+        }
     }
 }

@@ -287,8 +287,8 @@ fn racing_durable_pagers_reconcile_wal_counters() {
         }
     });
     for pager in &pagers {
-        pager.commit(b"phase-a").unwrap();
-        pager.checkpoint().unwrap();
+        pager.commit(b"phase-a", || b"phase-a".to_vec()).unwrap();
+        pager.checkpoint(b"phase-a").unwrap();
     }
 
     // Phase B: a second generation of pages. Installing them pushes
@@ -299,8 +299,8 @@ fn racing_durable_pagers_reconcile_wal_counters() {
             let id = pager.allocate();
             pager.write(id, Arc::new([0xB; PAGE_SIZE])).unwrap();
         }
-        pager.commit(b"phase-b").unwrap();
-        pager.checkpoint().unwrap();
+        pager.commit(b"phase-b", || b"phase-b".to_vec()).unwrap();
+        pager.checkpoint(b"phase-b").unwrap();
     }
 
     // Phase C: racing readers sweep both generations, faulting evicted
